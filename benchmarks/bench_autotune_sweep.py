@@ -14,9 +14,9 @@ table so the ``--json`` emitter contract can be validated in seconds.
 execution layer (``sweep(..., workers=N)``); ``REPRO_SWEEP_ROWS=PATH``
 additionally dumps the cold sweep's ``SweepReport.rows()`` as strict
 JSON for ``validate_bench_json.py --schema sweep``;
-``REPRO_SWEEP_STRATEGY=model`` (or ``random``/``halving``) swaps the
-search strategy driving the sweep — CI runs the tiny table under both
-``exhaustive`` and ``model`` and validates both JSON contracts.
+``REPRO_SWEEP_STRATEGY`` (``exhaustive``, the default, or ``model``)
+picks the search strategy driving the sweep — CI runs the tiny table
+under both and validates both JSON contracts.
 """
 
 from __future__ import annotations

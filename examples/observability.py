@@ -123,7 +123,7 @@ def act6_tuner_spans() -> None:
 
     recorder = Recorder()
     task = ag_gemm_tune_task(1024, 256, 512, world=4)
-    sweep([task], world=4, strategy="random", max_trials=6,
+    sweep([task], world=4, strategy="model", max_trials=6,
           recorder=recorder)
     print("\nact 6 — tuner wall-time spans by category:")
     for category, cat in sorted(span_attribution(

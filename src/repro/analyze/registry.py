@@ -314,7 +314,7 @@ def build_gemm_rs_plan(world: int = 2, mode: str = "ring", *,
 def _routing(world: int, m: int, block_m: int):
     from repro.kernels.moe_common import routing_memo
 
-    return routing_memo(4, 2, world, 17)(m, block_m)
+    return routing_memo(m, 4, 2, world, 17)(block_m)
 
 
 def build_ag_moe_plan(world: int = 2, *,

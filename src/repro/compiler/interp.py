@@ -672,36 +672,37 @@ class BlockInterp:
 
     # ------------------------------------------------------------------- loops
 
-    def _iter_bounds(self, s: For, env: dict[str, Any] | None
-                     ) -> tuple[int, int, int]:
+    def _loop_range(self, s: For, env: dict[str, Any] | None) -> range:
+        """The loop variable's values, with Python ``range`` semantics for
+        either step sign; ``len()`` of the result is the trip count every
+        walker (timed, cost probe, numeric replay) agrees on."""
         start = int(self.eval(s.start, env))
         stop = int(self.eval(s.stop, env))
         step = int(self.eval(s.step, env))
         if step == 0:
             raise SimulationError("loop step of 0")
-        return start, stop, step
+        return range(start, stop, step)
 
     def exec_for(self, s: For, env: dict[str, Any] | None):
-        start, stop, step = self._iter_bounds(s, env)
-        trips = max(0, -(-(stop - start) // step)) if step > 0 else \
-            max(0, -((stop - start) // -step))
-        if trips == 0:
+        iters = self._loop_range(s, env)
+        if not iters:
             return
-        if s.aggregable and trips > 1:
-            yield from self._exec_aggregable(s, start, stop, step, trips, env)
+        if s.aggregable and len(iters) > 1:
+            yield from self._exec_aggregable(s, iters, env)
             return
         # ordinary (or single-trip) loop: step iterations
-        for i in range(trips):
-            self.scalars[s.var] = start + i * step
+        for value in iters:
+            self.scalars[s.var] = value
             if s.pipelined:
                 self._prefetch(s, env)
             yield from self.exec_body(s.body, env)
 
-    def _exec_aggregable(self, s: For, start: int, stop: int, step: int,
-                         trips: int, env: dict[str, Any] | None):
+    def _exec_aggregable(self, s: For, iters: range,
+                         env: dict[str, Any] | None):
         """Analytic pricing of a primitive-free loop (+ full numeric effects)."""
         # cost probe on the first iteration
-        self.scalars[s.var] = start
+        trips = len(iters)
+        self.scalars[s.var] = iters[0]
         probe = CostRec()
         self._probe_body(s.body, env, probe)
         if s.pipelined:
@@ -716,8 +717,8 @@ class BlockInterp:
         yield Timeout(dur)
         self._trace("compute", t0, self.machine.now)
         if self.execute:
-            for i in range(trips):
-                self.scalars[s.var] = start + i * step
+            for value in iters:
+                self.scalars[s.var] = value
                 self._exec_numeric_body(s.body, env)
 
     def _probe_body(self, body: list[Stmt], env: dict[str, Any] | None,
@@ -738,14 +739,13 @@ class BlockInterp:
                 branch = s.then if self.eval(s.cond, env) else s.orelse
                 self._probe_body(branch, env, acc)
             elif isinstance(s, For):
-                st, sp, stp = self._iter_bounds(s, env)
-                inner_trips = max(0, -(-(sp - st) // stp)) if stp > 0 else 0
-                if inner_trips == 0:
+                iters = self._loop_range(s, env)
+                if not iters:
                     continue
-                self.scalars[s.var] = st
+                self.scalars[s.var] = iters[0]
                 inner = CostRec()
                 self._probe_body(s.body, env, inner)
-                factor = inner_trips
+                factor = len(iters)
                 if s.pipelined:
                     acc.compute += factor * max(inner.load, inner.compute)
                 else:
@@ -775,12 +775,9 @@ class BlockInterp:
                 branch = s.then if self.eval(s.cond, env) else s.orelse
                 self._exec_numeric_body(branch, env)
             elif isinstance(s, For):
-                st, sp, stp = self._iter_bounds(s, env)
-                i = st
-                while (stp > 0 and i < sp) or (stp < 0 and i > sp):
-                    self.scalars[s.var] = i
+                for value in self._loop_range(s, env):
+                    self.scalars[s.var] = value
                     self._exec_numeric_body(s.body, env)
-                    i += stp
             elif isinstance(s, Return):
                 raise _ReturnSignal()
             else:

@@ -106,8 +106,7 @@ class AgMoeConfig:
                  strategy: str = "exhaustive",
                  cache: "TuneCache | None" = None, preset: str = "small",
                  space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0, router_seed: int = 17,
+                 max_trials: int | None = None, router_seed: int = 17,
                  full_result: bool = False) -> "AgMoeConfig | TuneResult":
         """Search the routing-aware design space for this MoE shape; return
         the winning config (or the full :class:`~repro.tuner.TuneResult`
@@ -118,8 +117,7 @@ class AgMoeConfig:
                                 spec=spec, space=space, preset=preset,
                                 router_seed=router_seed)
         result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
+                      cache=cache, max_trials=max_trials)
         return result if full_result else result.best_config
 
 
@@ -166,24 +164,22 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
 
     Routing is block_m-dependent (the grouped layout pads per expert to
     the row tile), so the task rebuilds — and memoises — one
-    :class:`MoeRouting` per (token count, ``block_m``) from seeded router
+    :class:`MoeRouting` per ``block_m`` from seeded router
     logits; the seed is part of the shape key so differently-routed
     problems never alias in the cache.
     """
     from repro.tuner.search import TuneTask
 
     space = space or ag_moe_search_space(m, h, d, world, preset=preset)
-    routing_for = routing_memo(n_experts, topk, world, router_seed)
+    routing_for = routing_memo(m, n_experts, topk, world, router_seed)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * int(cand["block_m"])
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        routing = routing_for(m_s, int(cand["block_m"]))
-        cfg = AgMoeConfig(m=m_s, h=h, d=d, n_experts=n_experts, topk=topk,
+    def make_builder(cand: dict):
+        routing = routing_for(int(cand["block_m"]))
+        cfg = AgMoeConfig(m=m, h=h, d=d, n_experts=n_experts, topk=topk,
                           **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s // world, h), "float16", fill=None)
+            ctx.alloc("x", (m // world, h), "float16", fill=None)
             ctx.alloc("w1", (n_experts * h, d), "float16", fill=None)
             ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
             ag_moe_overlapped(ctx, cfg, routing, "x", "w1", "g")
@@ -191,7 +187,7 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
         return build
 
     def bound(cand: dict) -> float:
-        rows = routing_for(m, int(cand["block_m"])).padded_rows
+        rows = routing_for(int(cand["block_m"])).padded_rows
         return ag_moe_lower_bound(cand, m=m, h=h, d=d, world=world,
                                   spec=spec, topk=topk, grouped_rows=rows)
 

@@ -73,8 +73,7 @@ class AgAttentionConfig:
                  strategy: str = "exhaustive",
                  cache: "TuneCache | None" = None, preset: str = "small",
                  space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0,
+                 max_trials: int | None = None,
                  full_result: bool = False
                  ) -> "AgAttentionConfig | TuneResult":
         """Search the flash-tile design space for this shape; ``kernel``
@@ -100,8 +99,7 @@ class AgAttentionConfig:
             raise RuntimeLaunchError(
                 f"unknown tunable attention kernel {kernel!r}")
         result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
+                      cache=cache, max_trials=max_trials)
         return result if full_result else result.best_config
 
 
@@ -148,15 +146,12 @@ def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
     space = space or attention_search_space(heads, head_dim, seq_len, world,
                                             preset=preset)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * max(int(cand["block_q"]), int(cand["block_kv"]))
-        s_s = seq_len if scale >= 1.0 else \
-            max(align, int(seq_len * scale) // align * align)
-        cfg = AgAttentionConfig(heads=heads, head_dim=head_dim, seq_len=s_s,
-                                causal=causal, **cand)
+    def make_builder(cand: dict):
+        cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,
+                                seq_len=seq_len, causal=causal, **cand)
 
         def build(ctx: DistContext) -> None:
-            s_per = s_s // world
+            s_per = seq_len // world
             for name in ("q", "k", "v"):
                 ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
             ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)

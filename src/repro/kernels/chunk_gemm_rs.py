@@ -250,8 +250,7 @@ class ChunkGemmRsConfig:
                  spec: HardwareSpec = H800, strategy: str = "exhaustive",
                  cache: "TuneCache | None" = None, preset: str = "small",
                  space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0, full_result: bool = False,
+                 max_trials: int | None = None, full_result: bool = False,
                  ) -> "ChunkGemmRsConfig | TuneResult":
         """Search tile sizes and chunk counts for this shape."""
         from repro.tuner.search import tune
@@ -259,8 +258,7 @@ class ChunkGemmRsConfig:
         task = chunk_gemm_rs_tune_task(m, n, k, world=world, spec=spec,
                                        space=space, preset=preset)
         result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
+                      cache=cache, max_trials=max_trials)
         return result if full_result else result.best_config
 
 
@@ -318,15 +316,13 @@ def chunk_gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
 
     space = space or chunk_gemm_rs_search_space(m, n, k, world, preset=preset)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * int(cand["block_m"])
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        cfg = ChunkGemmRsConfig(m=m_s, n=n, k=k, **cand)
+    def make_builder(cand: dict):
+        cfg = ChunkGemmRsConfig(m=m, n=n, k=k, **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s, k), "float16", fill=None)
+            ctx.alloc("x", (m, k), "float16", fill=None)
             ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m_s // world, n), "float32", fill=None)
+            ctx.alloc("y", (m // world, n), "float32", fill=None)
             chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
         return build

@@ -222,8 +222,7 @@ class GemmRsConfig:
                  spec: HardwareSpec = H800, strategy: str = "exhaustive",
                  cache: "TuneCache | None" = None, preset: str = "small",
                  space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0,
+                 max_trials: int | None = None,
                  full_result: bool = False) -> "GemmRsConfig | TuneResult":
         """Search the decoupled design space for this shape; return the
         winning config (or the full :class:`~repro.tuner.TuneResult` when
@@ -233,8 +232,7 @@ class GemmRsConfig:
         task = gemm_rs_tune_task(m, n, k, world=world, spec=spec,
                                  space=space, preset=preset)
         result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
+                      cache=cache, max_trials=max_trials)
         return result if full_result else result.best_config
 
 
@@ -299,15 +297,13 @@ def gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
 
     space = space or gemm_rs_search_space(m, n, k, world, preset=preset)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * max(int(cand["block_m"]), int(cand["block_mr"]))
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        cfg = GemmRsConfig(m=m_s, n=n, k=k, **cand)
+    def make_builder(cand: dict):
+        cfg = GemmRsConfig(m=m, n=n, k=k, **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s, k), "float16", fill=None)
+            ctx.alloc("x", (m, k), "float16", fill=None)
             ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m_s // world, n), "float32", fill=None)
+            ctx.alloc("y", (m // world, n), "float32", fill=None)
             gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
         return build

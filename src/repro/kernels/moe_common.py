@@ -148,26 +148,24 @@ def random_router_logits(n_tokens: int, n_experts: int,
     return rng.standard_normal((n_tokens, n_experts)).astype(np.float32)
 
 
-def routing_memo(n_experts: int, topk: int, world_size: int,
+def routing_memo(n_tokens: int, n_experts: int, topk: int, world_size: int,
                  router_seed: int = 17):
-    """Memoised ``(n_tokens, block_m) -> MoeRouting`` builder.
+    """Memoised ``block_m -> MoeRouting`` builder for one token count.
 
     The tuner needs routing rebuilt per candidate ``block_m`` (the grouped
-    layout pads every expert group to the row tile) and per scaled token
-    count (halving rungs), always from the *same* seeded logits so shapes
-    stay comparable; this factory shares that memo between the MoE tune
-    tasks.
+    layout pads every expert group to the row tile), always from the
+    *same* seeded logits so candidates stay comparable; this factory
+    shares that memo between a MoE tune task's builders and bounds.
     """
-    routings: dict[tuple[int, int], MoeRouting] = {}
+    routings: dict[int, MoeRouting] = {}
 
-    def routing_for(n_tokens: int, block_m: int) -> MoeRouting:
-        key = (n_tokens, block_m)
-        if key not in routings:
+    def routing_for(block_m: int) -> MoeRouting:
+        if block_m not in routings:
             logits = random_router_logits(n_tokens, n_experts,
                                           seed=router_seed)
-            routings[key] = build_moe_routing(
+            routings[block_m] = build_moe_routing(
                 logits, n_tokens // world_size, world_size, topk,
                 block_m=block_m)
-        return routings[key]
+        return routings[block_m]
 
     return routing_for

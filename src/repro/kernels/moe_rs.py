@@ -136,8 +136,7 @@ class MoeRsConfig:
                  strategy: str = "exhaustive",
                  cache: "TuneCache | None" = None, preset: str = "small",
                  space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0, router_seed: int = 17,
+                 max_trials: int | None = None, router_seed: int = 17,
                  full_result: bool = False) -> "MoeRsConfig | TuneResult":
         """Search the routing-aware design space for this MoE shape; return
         the winning config (or the full :class:`~repro.tuner.TuneResult`
@@ -148,8 +147,7 @@ class MoeRsConfig:
                                 spec=spec, space=space, preset=preset,
                                 router_seed=router_seed)
         result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
+                      cache=cache, max_trials=max_trials)
         return result if full_result else result.best_config
 
 
@@ -198,30 +196,28 @@ def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
     """Build the :class:`~repro.tuner.TuneTask` tuning MoE+RS on a shape.
 
     Like :func:`repro.kernels.ag_moe.ag_moe_tune_task`, routing is
-    rebuilt (and memoised) per (token count, ``block_m``); the router seed
+    rebuilt (and memoised) per ``block_m``; the router seed
     joins the shape key.
     """
     from repro.tuner.search import TuneTask
 
     space = space or moe_rs_search_space(m, h, d, world, preset=preset)
-    routing_for = routing_memo(n_experts, topk, world, router_seed)
+    routing_for = routing_memo(m, n_experts, topk, world, router_seed)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * max(int(cand["block_m"]), int(cand["block_mr"]))
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        routing = routing_for(m_s, int(cand["block_m"]))
-        cfg = MoeRsConfig(m=m_s, h=h, d=d, **cand)
+    def make_builder(cand: dict):
+        routing = routing_for(int(cand["block_m"]))
+        cfg = MoeRsConfig(m=m, h=h, d=d, **cand)
 
         def build(ctx: DistContext) -> None:
             ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
             ctx.alloc("w2", (n_experts * d, h), "float16", fill=None)
-            ctx.alloc("y", (m_s // world, h), "float32", fill=None)
+            ctx.alloc("y", (m // world, h), "float32", fill=None)
             moe_rs_overlapped(ctx, cfg, routing, "g", "w2", "y")
 
         return build
 
     def bound(cand: dict) -> float:
-        rows = routing_for(m, int(cand["block_m"])).padded_rows
+        rows = routing_for(int(cand["block_m"])).padded_rows
         return moe_rs_lower_bound(cand, m=m, h=h, d=d, world=world,
                                   spec=spec, topk=topk, grouped_rows=rows)
 

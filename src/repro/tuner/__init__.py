@@ -10,7 +10,7 @@ each:
 * :mod:`repro.tuner.costprune` — analytic lower bounds from
   :class:`repro.sim.costmodel.CostModel` + wave-quantization arithmetic
   that discard dominated candidates before any simulation runs;
-* :mod:`repro.tuner.search` — exhaustive / random / successive-halving /
+* :mod:`repro.tuner.search` — exhaustive (the reference) and
   model-guided strategies executing survivors through
   :func:`repro.bench.harness.run_builder`;
 * :mod:`repro.tuner.model` — :class:`ResidualModel`, the ridge-regularized

@@ -9,11 +9,12 @@ key is built from everything that changes the answer —
     | SearchSpace.fingerprint() [| search signature]
 
 so retuning happens exactly when the workload, the simulated hardware, or
-the candidate space itself changes.  Restricted searches (random, capped
-``max_trials``) carry a signature suffix so their possibly-weaker winners
-never alias a later full exhaustive search (see ``tune()``).  Repeated bench runs hit the cache and
-skip simulation entirely, which also makes published numbers reproducible:
-the cache file records *which* config produced them.
+the candidate space itself changes.  Restricted searches (model-guided,
+capped ``max_trials``) carry a signature suffix so their possibly-weaker
+winners never alias a later full exhaustive search (see ``tune()``).
+Repeated bench runs hit the cache and skip simulation entirely, which
+also makes published numbers reproducible: the cache file records *which*
+config produced them.
 
 The default location is ``$REPRO_TUNE_CACHE`` or
 ``~/.cache/repro-tilelink/tune_cache.json``; pass an explicit path for

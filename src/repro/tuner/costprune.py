@@ -243,17 +243,13 @@ class PruneResult:
 
 def prune(candidates: Sequence[Candidate],
           bound_fn: Callable[[Candidate], float],
-          incumbent: float, *, slack: float = 0.0) -> PruneResult:
-    """Drop candidates whose lower bound exceeds ``incumbent * (1+slack)``.
-
-    ``slack > 0`` keeps near-ties alive when the caller distrusts the
-    bound's tightness; the acceptance default is 0 (exact dominance).
-    """
+          incumbent: float) -> PruneResult:
+    """Drop candidates whose lower bound exceeds ``incumbent`` (exact
+    dominance: a candidate whose floor is already slower cannot win)."""
     if incumbent <= 0:
         raise ValueError("incumbent time must be positive")
-    cutoff = incumbent * (1.0 + slack)
     scored = [(bound_fn(c), c) for c in candidates]
-    kept = sorted(((b, c) for b, c in scored if b <= cutoff),
+    kept = sorted(((b, c) for b, c in scored if b <= incumbent),
                   key=lambda bc: bc[0])
     return PruneResult(
         survivors=tuple(c for _, c in kept),

@@ -1,11 +1,10 @@
 """Model-guided search (the *model* strategy, ``tune(strategy="model")``).
 
-The exhaustive/halving strategies still pay one full-fidelity simulation
-per cost-model survivor.  But the pruner's analytic lower bound
-(:mod:`repro.tuner.costprune`) is already a good *shape* of the truth —
-what it misses is a per-candidate residual: how much slower than its
-floor a candidate actually runs once wave quantization, signal waits and
-stream scheduling bite.  That residual is strongly structured by the
+Exhaustive search still pays one simulation per cost-model survivor.
+But the pruner's analytic lower bound (:mod:`repro.tuner.costprune`) is
+already a good *shape* of the truth — what it misses is a per-candidate
+residual: how much slower than its floor a candidate actually runs once
+wave quantization, signal waits and stream scheduling bite.  That residual is strongly structured by the
 design-space axes (a ``pull`` mapping pays SM-transport overhead at any
 tile size; a tiny ``block_k`` always re-reads the accumulator), so a
 lightweight model over the axes can *rank* the remaining candidates
@@ -37,13 +36,14 @@ that).
 3. stop the moment no remaining candidate's optimistic prediction beats
    the incumbent.
 
-The fallback is provable: the default config is always simulated at full
-fidelity and stays in the trial list, so ``best_time <= default_time``
-holds no matter how wrong the model is — early stopping can only cost
-optimality, never correctness.  Because the stop budget *does* change
-the winner, ``search_signature()`` folds the probe count and optimism
-into the cache key: a model-search entry never aliases an exhaustive
-one.
+The fallback is provable: the default config is always simulated and
+stays in the trial list, so ``best_time <= default_time`` holds no
+matter how wrong the model is — early stopping can only cost optimality,
+never correctness.  ``tune`` always runs the loop with
+:data:`DEFAULT_PROBES` and :data:`DEFAULT_OPTIMISM`; because the stop
+budget *does* change the winner, ``search_signature()`` folds both
+constants into the cache key, so a model-search entry never aliases an
+exhaustive one and changing either constant re-keys the cache.
 """
 
 from __future__ import annotations
@@ -188,8 +188,7 @@ def model_guided_search(
     survivors: Sequence[Candidate], bounds: Sequence[float],
     trials: list[tuple[Candidate, float]], incumbent: float,
     simulate: Callable[[Candidate], float],
-    bound_of: Callable[[Candidate], float], *,
-    slack: float = 0.0, probes: int = DEFAULT_PROBES,
+    bound_of: Callable[[Candidate], float], *, probes: int = DEFAULT_PROBES,
     optimism: float = DEFAULT_OPTIMISM, ridge: float = 1.0,
 ) -> tuple[float, int, int, int]:
     """Run the model-guided loop over ``survivors`` (ascending bound).
@@ -206,15 +205,12 @@ def model_guided_search(
     n_sim = n_dyn = 0
     remaining = list(zip(survivors, bounds))
 
-    def cutoff() -> float:
-        return incumbent * (1.0 + slack)
-
     # -- phase 1: bound-stratified probes seed the first fit --------------
     picked = set(stratified_probe_indices(len(remaining), probes))
     probe_set = [cb for i, cb in enumerate(remaining) if i in picked]
     remaining = [cb for i, cb in enumerate(remaining) if i not in picked]
     for cand, bound in probe_set:
-        if bound > cutoff():
+        if bound > incumbent:
             n_dyn += 1
             continue
         t = simulate(cand)
@@ -232,11 +228,11 @@ def model_guided_search(
             ((b + optimism * (model.predict(c, b) - b), c, b)
              for c, b in remaining), key=lambda obc: obc[0])
         optimistic, cand, bound = ranked[0]
-        if optimistic > cutoff():
+        if optimistic > incumbent:
             # no remaining candidate is predicted to beat the incumbent,
             # even optimistically: stop paying for simulations.  (This
             # subsumes bound-based pruning: optimistic >= bound, so a
-            # bound above the cutoff can never reach a simulation.)
+            # bound above the incumbent can never reach a simulation.)
             return incumbent, n_sim, n_dyn, len(remaining)
         remaining = [(c, b) for c, b in remaining if c is not cand]
         t = simulate(cand)

@@ -51,7 +51,6 @@ from typing import Callable
 
 from repro.config import H800, HardwareSpec
 from repro.tuner import cache as cache_mod
-from repro.tuner.model import DEFAULT_OPTIMISM, DEFAULT_PROBES
 from repro.tuner.search import TuneResult, TuneTask, task_cache_key, tune
 from repro.tuner.space import TunerError
 from repro.util.forkpool import fork_available, fork_run
@@ -84,11 +83,7 @@ def _merge_worker_caches(cache: cache_mod.TuneCache | None,
 def parallel_sweep(named: list[tuple[str, TuneTask]], *, world: int = 8,
                    spec: HardwareSpec = H800, strategy: str = "exhaustive",
                    cache: cache_mod.TuneCache | None = None,
-                   max_trials: int | None = None, seed: int = 0,
-                   slack: float = 0.0, halving_scale: float = 0.25,
-                   halving_eta: int = 2,
-                   model_probes: int = DEFAULT_PROBES,
-                   model_optimism: float = DEFAULT_OPTIMISM, workers: int = 2,
+                   max_trials: int | None = None, workers: int = 2,
                    progress: Callable[[str], None] | None = None,
                    recorder=None):
     """Run one sweep's task list with cold key groups fanned out over a
@@ -109,18 +104,11 @@ def parallel_sweep(named: list[tuple[str, TuneTask]], *, world: int = 8,
            and getattr(recorder, "enabled", False) else None)
 
     tune_kwargs = dict(world=world, spec=spec, strategy=strategy,
-                       max_trials=max_trials, seed=seed, slack=slack,
-                       halving_scale=halving_scale, halving_eta=halving_eta,
-                       model_probes=model_probes,
-                       model_optimism=model_optimism)
+                       max_trials=max_trials)
 
-    keyed = [(name, task,
-              task_cache_key(task, world=world, spec=spec, strategy=strategy,
-                             max_trials=max_trials, seed=seed, slack=slack,
-                             halving_scale=halving_scale,
-                             halving_eta=halving_eta,
-                             model_probes=model_probes,
-                             model_optimism=model_optimism))
+    # computing every key first also rejects an unknown strategy before
+    # any simulation or fork
+    keyed = [(name, task, task_cache_key(task, **tune_kwargs))
              for name, task in named]
 
     # -- partition: one leader per unique key, in first-occurrence order --

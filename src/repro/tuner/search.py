@@ -8,16 +8,12 @@ The pipeline a :func:`tune` call runs:
 3. **prune** — :func:`repro.tuner.costprune.prune` discards every
    candidate whose analytic lower bound already exceeds the incumbent;
 4. **search** — simulate survivors through
-   :func:`repro.bench.harness.run_builder` under one of three strategies:
+   :func:`repro.bench.harness.run_builder` under one of two strategies:
 
    * ``"exhaustive"`` — every survivor, in ascending-bound order, with
      *dynamic* re-pruning: as the incumbent drops, later candidates whose
-     bound now exceeds it are skipped without simulating;
-   * ``"random"`` — a seeded random subset of at most ``max_trials``
-     survivors (same dynamic re-pruning);
-   * ``"halving"`` — successive halving: every survivor is first simulated
-     on a *scaled-down* problem (rows shrunk by ``scale``), only the top
-     ``1/eta`` fraction graduates to a full-size simulation;
+     bound now exceeds it are skipped without simulating.  It is the
+     reference the model strategy is checked against;
    * ``"model"`` — model-guided search: a :class:`repro.tuner.model.ResidualModel`
      is trained online on the trials already paid for, re-ranks the
      remaining survivors by predicted time, and the search stops as soon
@@ -28,15 +24,13 @@ The pipeline a :func:`tune` call runs:
 5. **cache write** — persist the winner keyed on (kernel, shape, world,
    spec fingerprint, space fingerprint).
 
-The default config is always simulated at full size and included in the
-final ranking, so ``best_time <= default_time`` holds by construction —
-tuning can only match or improve on the hand-picked point.
+The default config is always simulated and included in the final
+ranking, so ``best_time <= default_time`` holds by construction — tuning
+can only match or improve on the hand-picked point.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable
@@ -60,19 +54,18 @@ class TuneTask:
     """Everything the searcher needs to tune one kernel on one shape.
 
     Kernel modules construct these next to their config dataclasses (see
-    ``AgGemmConfig.autotune``).  ``make_builder(candidate, scale)`` must
-    return a fresh-context builder for the candidate with the problem's
-    row dimension shrunk by ``scale`` (``1.0`` = full size; used by the
-    halving strategy's cheap low-fidelity rungs).  ``bound(candidate)`` is
-    the analytic lower bound the pruner uses; ``finalize(candidate)``
-    converts the winning dict into the kernel's config object.
+    ``AgGemmConfig.autotune``).  ``make_builder(candidate)`` must return a
+    fresh-context builder simulating the candidate on the task's shape.
+    ``bound(candidate)`` is the analytic lower bound the pruner uses;
+    ``finalize(candidate)`` converts the winning dict into the kernel's
+    config object.
     """
 
     kernel: str
     shape_key: str
     space: SearchSpace
     default: Candidate
-    make_builder: Callable[[Candidate, float], Builder]
+    make_builder: Callable[[Candidate], Builder]
     bound: Callable[[Candidate], float]
     finalize: Callable[[Candidate], Any] = field(default=lambda c: dict(c))
 
@@ -93,7 +86,7 @@ class TuneResult:
     strategy: str
     #: candidates abandoned when the model strategy's early stop fired
     #: (no remaining optimistic prediction beat the incumbent); 0 for
-    #: every other strategy and for cache hits.
+    #: exhaustive search and for cache hits.
     n_model_skipped: int = 0
     trials: list[tuple[Candidate, float]] = field(default_factory=list)
 
@@ -102,78 +95,58 @@ class TuneResult:
         return self.n_pruned / self.n_candidates if self.n_candidates else 0.0
 
 
-def search_signature(strategy: str, max_trials: int | None, seed: int,
-                     slack: float = 0.0, halving_scale: float = 0.25,
-                     halving_eta: int = 2,
-                     model_probes: int = DEFAULT_PROBES,
-                     model_optimism: float = DEFAULT_OPTIMISM) -> str:
+#: the strategies :func:`tune` accepts
+STRATEGIES = ("exhaustive", "model")
+
+
+def search_signature(strategy: str, max_trials: int | None) -> str:
     """Cache-key suffix identifying a *restricted* search.
 
-    The canonical full search (exhaustive, uncapped, no prune slack) keeps
-    a bare key so bench reruns and ``mode="auto"`` all share one entry;
-    every weaker search is suffixed so its possibly-weaker winner never
-    aliases it.  *Every* result-changing search parameter is folded in:
-    ``max_trials`` (``mtall`` when uncapped — a normalized token, not the
-    Python repr), the random seed, the prune ``slack`` (a slack-loosened
-    prune can admit — and pick — a candidate the strict run never
-    simulates), for halving the rung ``halving_scale``/``halving_eta``
-    (an aggressive scale-down ranks the rung differently and may graduate
-    a weaker finalist), and for the model strategy the probe budget and
-    stop optimism (both move the early-stop point and therefore the
-    winner — a model-search entry must never alias an exhaustive one).
-    Halving keys always carry the ``hs``/``he`` fields, so entries stored
-    under the pre-scale legacy format are never served back (same
-    migration stance as the ``mtNone`` cleanup).
+    The canonical full search (exhaustive, uncapped) keeps a bare key so
+    bench reruns and ``mode="auto"`` all share one entry; every weaker
+    search is suffixed so its possibly-weaker winner never aliases it.
+    The suffix folds in ``max_trials`` (``mtall`` when uncapped) and, for
+    the model strategy, its probe budget and stop optimism (both move
+    the early-stop point and therefore the winner).
 
-    Known limitation: a bare-key entry written by *pre-signature* code
-    running an exhaustive search with ``slack > 0`` is indistinguishable
-    from a genuine canonical entry and is still served; no in-repo
-    caller ever combined slack with a persistent cache, and re-tuning
-    (``TuneCache.clear()``) evicts such an entry if one exists.
+    This is the one place the strategy is validated: :func:`tune`,
+    :func:`task_cache_key` and the sweep drivers all compute a key before
+    any simulation, so an unknown strategy raises :class:`TunerError`
+    before any work is paid for.
     """
-    if strategy == "exhaustive" and max_trials is None and slack == 0.0:
+    if strategy not in STRATEGIES:
+        raise TunerError(f"unknown search strategy {strategy!r}; "
+                         f"expected one of {STRATEGIES}")
+    if strategy == "exhaustive" and max_trials is None:
         return ""
     mt = "all" if max_trials is None else str(int(max_trials))
-    sig = f"|{strategy}-mt{mt}-s{int(seed)}"
-    if slack != 0.0:
-        sig += f"-sl{float(slack):g}"
-    if strategy == "halving":
-        sig += f"-hs{float(halving_scale):g}-he{int(halving_eta)}"
+    sig = f"|{strategy}-mt{mt}"
     if strategy == "model":
-        sig += f"-p{int(model_probes)}-o{float(model_optimism):g}"
+        sig += f"-p{int(DEFAULT_PROBES)}-o{float(DEFAULT_OPTIMISM):g}"
     return sig
 
 
 def task_cache_key(task: TuneTask, *, world: int, spec: HardwareSpec,
                    strategy: str = "exhaustive",
-                   max_trials: int | None = None, seed: int = 0,
-                   slack: float = 0.0, halving_scale: float = 0.25,
-                   halving_eta: int = 2, model_probes: int = DEFAULT_PROBES,
-                   model_optimism: float = DEFAULT_OPTIMISM) -> str:
+                   max_trials: int | None = None) -> str:
     """The exact persistent-cache key a :func:`tune` call would use."""
     return cache_mod.make_key(
         task.kernel, task.shape_key, world, spec.fingerprint(),
-        task.space.fingerprint()) + search_signature(
-            strategy, max_trials, seed, slack, halving_scale, halving_eta,
-            model_probes, model_optimism)
+        task.space.fingerprint()) + search_signature(strategy, max_trials)
 
 
-def _simulate(task: TuneTask, cand: Candidate, scale: float, *,
-              world: int, spec: HardwareSpec) -> float:
+def _simulate(task: TuneTask, cand: Candidate, *, world: int,
+              spec: HardwareSpec) -> float:
     # Imported lazily: repro.bench pulls in the kernel zoo, which itself
     # imports the tuner to register search spaces.
     from repro.bench.harness import run_builder
 
-    return run_builder(task.make_builder(cand, scale), world=world, spec=spec)
+    return run_builder(task.make_builder(cand), world=world, spec=spec)
 
 
 def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
          strategy: str = "exhaustive", cache: cache_mod.TuneCache | None = None,
-         max_trials: int | None = None, seed: int = 0, slack: float = 0.0,
-         halving_scale: float = 0.25, halving_eta: int = 2,
-         model_probes: int = DEFAULT_PROBES,
-         model_optimism: float = DEFAULT_OPTIMISM,
-         recorder=None) -> TuneResult:
+         max_trials: int | None = None, recorder=None) -> TuneResult:
     """Autotune ``task`` and return the best configuration found.
 
     This is the subsystem's one-call API: prune with the cost model,
@@ -186,22 +159,11 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
     sweep's wall time is attributable span by span.  ``None`` (the
     default) records nothing and skips every timing call.
     """
-    if strategy not in ("exhaustive", "random", "halving", "model"):
-        raise TunerError(f"unknown search strategy {strategy!r}")
-    if strategy == "halving" and halving_eta < 2:
-        # a silently clamped eta would run a different search than the
-        # cache signature records, duplicating the he2 entry under a
-        # second key that describes a search that never ran
-        raise TunerError(f"halving_eta must be >= 2, got {halving_eta}")
-    if strategy == "model":
-        # reject upfront, before the default's full-fidelity simulation
-        # is paid (model_guided_search re-checks for its own callers)
-        if not 0.0 <= model_optimism <= 1.0:
-            raise TunerError(
-                f"model optimism must be in [0, 1], got {model_optimism}")
-        if model_probes < 1:
-            raise TunerError(
-                f"model probe count must be >= 1, got {model_probes}")
+    # The search signature is part of the key: a capped or model search
+    # must not alias a later, stronger search on the same shape/spec/space.
+    # Computing it first also rejects an unknown strategy before any work.
+    key = task_cache_key(task, world=world, spec=spec, strategy=strategy,
+                         max_trials=max_trials)
 
     rec = (recorder if recorder is not None
            and getattr(recorder, "enabled", False) else None)
@@ -209,22 +171,15 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
         rec.meta.setdefault("kind", "spans")
     shape = f"{task.kernel}:{task.shape_key}"
 
-    def sim(cand: Candidate, scale: float, stage: str) -> float:
+    def sim(cand: Candidate, stage: str) -> float:
         """One candidate simulation, span-recorded when tracing."""
         if rec is None:
-            return _simulate(task, cand, scale, world=world, spec=spec)
+            return _simulate(task, cand, world=world, spec=spec)
         t0 = perf_counter()
-        t = _simulate(task, cand, scale, world=world, spec=spec)
+        t = _simulate(task, cand, world=world, spec=spec)
         rec.span(t0, perf_counter(), "simulate", f"{shape}:{stage}")
         return t
 
-    # The search signature is part of the key: a capped/random search must
-    # not alias a later, stronger search on the same shape/spec/space.
-    key = task_cache_key(task, world=world, spec=spec, strategy=strategy,
-                         max_trials=max_trials, seed=seed, slack=slack,
-                         halving_scale=halving_scale, halving_eta=halving_eta,
-                         model_probes=model_probes,
-                         model_optimism=model_optimism)
     if cache is not None:
         t_probe = perf_counter() if rec is not None else 0.0
         hit = cache.get(key)
@@ -252,7 +207,7 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
         raise TunerError(f"search space for {task.kernel!r} is empty")
 
     # -- incumbent seed: the hand-picked default --------------------------
-    default_time = sim(task.default, 1.0, "default")
+    default_time = sim(task.default, "default")
     n_simulated = 1
     trials: list[tuple[Candidate, float]] = [(dict(task.default), default_time)]
     incumbent = default_time
@@ -260,7 +215,7 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
     # -- static prune against the incumbent -------------------------------
     others = [c for c in candidates if c != task.default]
     t_prune = perf_counter() if rec is not None else 0.0
-    pruned: PruneResult = prune(others, task.bound, incumbent, slack=slack)
+    pruned: PruneResult = prune(others, task.bound, incumbent)
     if rec is not None:
         rec.span(t_prune, perf_counter(), "prune",
                  f"{shape}:{pruned.n_pruned}/{len(others)}")
@@ -269,40 +224,23 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
     survivors = list(pruned.survivors)
     n_dynamic = 0
     n_model_skipped = 0
-    if strategy == "random":
-        rng = random.Random(seed)
-        rng.shuffle(survivors)
-        survivors = survivors[:max_trials if max_trials is not None else len(survivors)]
-    elif strategy == "exhaustive" and max_trials is not None:
+    if max_trials is not None:
         survivors = survivors[:max_trials]
-    elif strategy == "halving" and len(survivors) > 1:
-        if max_trials is not None:
-            survivors = survivors[:max_trials]   # cap the rung, bound order
-        scored = [(c, sim(c, halving_scale, "rung")) for c in survivors]
-        n_simulated += len(scored)
-        scored.sort(key=lambda ct: ct[1])
-        keep = max(1, math.ceil(len(scored) / halving_eta))
-        survivors = [c for c, _ in scored[:keep]]
-    elif strategy == "model":
-        bounds = list(pruned.bounds)
-        if max_trials is not None:
-            survivors = survivors[:max_trials]
-            bounds = bounds[:max_trials]
+    if strategy == "model":
         incumbent, n_model_sim, n_dynamic, n_model_skipped = \
             model_guided_search(
-                survivors, bounds, trials, incumbent,
-                lambda c: sim(c, 1.0, "model"),
-                task.bound, slack=slack, probes=model_probes,
-                optimism=model_optimism)
+                survivors, pruned.bounds[:len(survivors)], trials, incumbent,
+                lambda c: sim(c, "model"), task.bound,
+                probes=DEFAULT_PROBES, optimism=DEFAULT_OPTIMISM)
         n_simulated += n_model_sim
-        survivors = []          # the shared full-fidelity pass has no work
+        survivors = []          # the exhaustive pass below has no work
 
-    # -- full-fidelity pass with dynamic re-pruning ------------------------
+    # -- exhaustive pass with dynamic re-pruning ---------------------------
     for cand in survivors:
-        if task.bound(cand) > incumbent * (1.0 + slack):
+        if task.bound(cand) > incumbent:
             n_dynamic += 1
             continue
-        t = sim(cand, 1.0, "search")
+        t = sim(cand, "search")
         n_simulated += 1
         trials.append((dict(cand), t))
         incumbent = min(incumbent, t)

@@ -36,7 +36,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 from repro.config import H800, HardwareSpec
 from repro.tuner import cache as cache_mod
-from repro.tuner.model import DEFAULT_OPTIMISM, DEFAULT_PROBES
 from repro.tuner.search import TuneResult, TuneTask, task_cache_key, tune
 from repro.tuner.space import TunerError
 
@@ -172,11 +171,7 @@ def _normalize(tasks: Iterable[SweepInput]) -> list[tuple[str, TuneTask]]:
 def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
           spec: HardwareSpec = H800, strategy: str = "exhaustive",
           cache: cache_mod.TuneCache | None = None,
-          max_trials: int | None = None, seed: int = 0, slack: float = 0.0,
-          halving_scale: float = 0.25, halving_eta: int = 2,
-          model_probes: int = DEFAULT_PROBES,
-          model_optimism: float = DEFAULT_OPTIMISM,
-          workers: int | None = None,
+          max_trials: int | None = None, workers: int | None = None,
           progress: Callable[[str], None] | None = None,
           recorder=None) -> SweepReport:
     """Tune a whole shape table through one shared cache.
@@ -207,20 +202,14 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
 
         return parallel_sweep(
             named, world=world, spec=spec, strategy=strategy, cache=cache,
-            max_trials=max_trials, seed=seed, slack=slack,
-            halving_scale=halving_scale, halving_eta=halving_eta,
-            model_probes=model_probes, model_optimism=model_optimism,
-            workers=workers, progress=progress, recorder=recorder)
+            max_trials=max_trials, workers=workers, progress=progress,
+            recorder=recorder)
 
     memo: dict[str, tuple[str, TuneResult]] = {}
     entries: list[SweepEntry] = []
     for name, task in named:
         key = task_cache_key(task, world=world, spec=spec, strategy=strategy,
-                             max_trials=max_trials, seed=seed, slack=slack,
-                             halving_scale=halving_scale,
-                             halving_eta=halving_eta,
-                             model_probes=model_probes,
-                             model_optimism=model_optimism)
+                             max_trials=max_trials)
         if key in memo:
             first_name, shared = memo[key]
             entries.append(SweepEntry(
@@ -238,10 +227,7 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
             continue
         t_tune = perf_counter() if rec is not None else 0.0
         result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack, halving_scale=halving_scale,
-                      halving_eta=halving_eta, model_probes=model_probes,
-                      model_optimism=model_optimism, recorder=recorder)
+                      cache=cache, max_trials=max_trials, recorder=recorder)
         if rec is not None:
             rec.span(t_tune, perf_counter(), "tune", name)
         memo[key] = (name, result)

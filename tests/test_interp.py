@@ -211,3 +211,40 @@ def test_grid_must_be_positive():
         launch_kernel(ctx.machine, _elementwise, 0, 0,
                       {"a": ctx.heap.tensors("out"),
                        "out": ctx.heap.tensors("out"), "N": 4})
+
+
+@kernel
+def _countdown_inner(a, out, N: tl.constexpr, T: tl.constexpr):
+    acc = tl.zeros((N, N), "float32")
+    for i in range(0, 2):
+        for j in range(T, 0, -1):
+            x = tl.load(a, (0, N), (0, N))
+            acc += tl.dot(x, x)
+    tl.store(out, (0, N), (0, N), acc)
+
+
+@kernel
+def _countup_inner(a, out, N: tl.constexpr, T: tl.constexpr):
+    acc = tl.zeros((N, N), "float32")
+    for i in range(0, 2):
+        for j in range(0, T):
+            x = tl.load(a, (0, N), (0, N))
+            acc += tl.dot(x, x)
+    tl.store(out, (0, N), (0, N), acc)
+
+
+def test_negative_step_inner_loop_is_priced_like_positive_step(rng):
+    """A negative-step loop nested in an aggregable loop runs the same
+    number of trips as its positive-step twin, so the cost probe must
+    price it the same (it used to count zero trips: a free loop)."""
+    N, T = 64, 8
+    a = rng.standard_normal((N, N)).astype(np.float32)
+    results = []
+    for kdef in (_countdown_inner, _countup_inner):
+        ctx, t = run1(kdef, 1, {"a": a, "out": np.zeros((N, N), np.float32),
+                                "N": N, "T": T})
+        results.append((t, ctx.heap.tensor("out", 0).numpy()))
+    (t_down, out_down), (t_up, out_up) = results
+    assert t_down == t_up
+    assert np.array_equal(out_down, out_up)
+    assert np.allclose(out_up, 2 * T * (a @ a), rtol=1e-4, atol=1e-3)

@@ -359,7 +359,7 @@ def test_tuner_sweep_records_spans_without_perturbing(tmp_path):
 
     def run(cache_path, recorder=None):
         cache = TuneCache(cache_path)
-        return sweep([task, task], world=4, strategy="random", max_trials=3,
+        return sweep([task, task], world=4, strategy="model", max_trials=3,
                      cache=cache, recorder=recorder)
 
     recorder = Recorder()
@@ -368,7 +368,7 @@ def test_tuner_sweep_records_spans_without_perturbing(tmp_path):
     assert recorded.rows() == plain.rows()
 
     attr = span_attribution(recorder.recording())
-    # default + 3 random trials, each span-labelled by stage
+    # default + <= 3 model trials, each span-labelled by stage
     assert attr["simulate"]["count"] == recorded.n_simulated
     labels = attr["simulate"]["labels"]
     assert any(l.endswith(":default") for l in labels)

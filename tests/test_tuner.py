@@ -114,12 +114,6 @@ def test_prune_static_filter_and_ordering():
     assert [c["v"] for c in res.survivors] == [1, 3, 5]
     assert res.bounds == (1.0, 3.0, 5.0)
     assert res.prune_fraction == pytest.approx(0.4)
-
-
-def test_prune_slack_keeps_near_ties():
-    cands = [{"v": v} for v in (10, 11, 20)]
-    res = prune(cands, lambda c: float(c["v"]), incumbent=10.0, slack=0.15)
-    assert [c["v"] for c in res.survivors] == [10, 11]
     with pytest.raises(ValueError):
         prune(cands, lambda c: 1.0, incumbent=0.0)
 
@@ -133,7 +127,7 @@ def test_bound_is_a_lower_bound_on_simulated_time():
                  dict(task.default, mode="pull", comm_blocks=8),
                  dict(task.default, block_m=256, mode="push",
                       comm_blocks=4)]:
-        simulated = run_builder(task.make_builder(cand, 1.0),
+        simulated = run_builder(task.make_builder(cand),
                                 world=SMALL_WORLD)
         assert task.bound(cand) <= simulated
 
@@ -152,57 +146,44 @@ def test_tune_exhaustive_beats_or_ties_default():
     res.best_config.validate(SMALL_WORLD)
 
 
-def test_tune_random_is_seeded_and_bounded():
-    r1 = tune(small_task(), world=SMALL_WORLD, strategy="random",
-              max_trials=3, seed=7)
-    r2 = tune(small_task(), world=SMALL_WORLD, strategy="random",
-              max_trials=3, seed=7)
-    assert r1.n_simulated <= 4                    # default + 3 trials
-    assert r1.best == r2.best
-    assert r1.best_time == pytest.approx(r2.best_time)
-    assert r1.best_time <= r1.default_time
-
-
-def test_tune_halving_runs_low_fidelity_rungs():
-    space = SearchSpace(
-        axes=(Axis("block_m", (128,)), Axis("block_n", (128,)),
-              Axis("block_k", (64,)), Axis("block_mp", (128, 256)),
-              Axis("comm_blocks", (4, 8, 20)),
-              Axis("mode", ("dma", "pull", "push"))),
-        constraint=lambda c: c["mode"] != "dma" or c["comm_blocks"] == 20)
-    task = ag_gemm_tune_task(2048, 256, 256, world=SMALL_WORLD, space=space)
-    res = tune(task, world=SMALL_WORLD, strategy="halving",
-               halving_scale=0.25, halving_eta=2)
-    assert res.best_time <= res.default_time
-    # every survivor got a scaled rung plus >= 1 full-fidelity finalist
-    assert res.n_simulated > len(res.trials)
-
-
 def test_tune_rejects_unknown_strategy():
     with pytest.raises(TunerError):
         tune(small_task(), world=SMALL_WORLD, strategy="simulated-annealing")
 
 
-def test_halving_eta_below_two_rejected(tmp_path):
-    """Regression: ``halving_eta=1`` used to be silently clamped to 2 at
-    search time while ``search_signature`` recorded the unclamped value —
-    an ``he1`` cache entry then described a search that never ran and
-    duplicated the ``he2`` result under a second key."""
-    from repro.tuner import search_signature
+def _never_simulated(cand):
+    raise AssertionError("a rejected strategy must not simulate")
 
+
+def test_retired_strategies_rejected_before_any_work(tmp_path, monkeypatch):
+    """Only ``exhaustive`` and ``model`` remain: ``random`` and ``halving``
+    raise TunerError from every entry point before a simulation runs (the
+    task's builder would fail the test) or a worker is forked."""
+    import dataclasses
+
+    import repro.tuner.parallel as parallel_mod
+    from repro.tuner import sweep, task_cache_key
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a rejected strategy must not fork workers")
+
+    monkeypatch.setattr(parallel_mod, "fork_run", no_fork)
+    task = dataclasses.replace(small_task(), make_builder=_never_simulated)
+    other = dataclasses.replace(
+        ag_gemm_tune_task(1024, SMALL["n"], SMALL["k"], world=SMALL_WORLD),
+        make_builder=_never_simulated)
     cache = TuneCache(tmp_path / "cache.json")
-    for bad_eta in (1, 0, -3):
-        with pytest.raises(TunerError, match="halving_eta"):
-            tune(small_task(), world=SMALL_WORLD, strategy="halving",
-                 halving_eta=bad_eta, cache=cache)
-    assert len(cache) == 0                        # nothing cached on reject
-    # the signature a clamped eta would have duplicated is still distinct
-    assert search_signature("halving", None, 0, halving_eta=1) != \
-        search_signature("halving", None, 0, halving_eta=2)
-    # the boundary value still runs (and really halves)
-    res = tune(small_task(), world=SMALL_WORLD, strategy="halving",
-               halving_eta=2, cache=cache)
-    assert res.best_time <= res.default_time
+    for strategy in ("random", "halving"):
+        with pytest.raises(TunerError, match="unknown search strategy"):
+            tune(task, world=SMALL_WORLD, strategy=strategy, cache=cache)
+        with pytest.raises(TunerError, match="unknown search strategy"):
+            task_cache_key(task, world=SMALL_WORLD, spec=H800,
+                           strategy=strategy)
+        for workers in (None, 2):
+            with pytest.raises(TunerError, match="unknown search strategy"):
+                sweep([("a", task), ("b", other)], world=SMALL_WORLD,
+                      strategy=strategy, cache=cache, workers=workers)
+    assert len(cache) == 0
 
 
 def test_gemm_rs_autotune_small_shape():
@@ -415,17 +396,15 @@ def test_tune_cache_hit_skips_simulation(tmp_path):
 
 
 def test_capped_search_does_not_alias_full_search(tmp_path):
-    """A weak (random/capped) search's winner must not be served to a
+    """A capped search's possibly-weaker winner must not be served to a
     later full exhaustive request on the same shape/spec/space."""
     cache = TuneCache(tmp_path / "cache.json")
-    weak = tune(small_task(), world=SMALL_WORLD, strategy="random",
-                max_trials=1, seed=3, cache=cache)
+    weak = tune(small_task(), world=SMALL_WORLD, max_trials=1, cache=cache)
     full = tune(small_task(), world=SMALL_WORLD, cache=cache)
     assert not full.from_cache                    # really searched
     assert full.best_time <= weak.best_time
     # but an identical capped request does hit its own entry
-    weak2 = tune(small_task(), world=SMALL_WORLD, strategy="random",
-                 max_trials=1, seed=3, cache=cache)
+    weak2 = tune(small_task(), world=SMALL_WORLD, max_trials=1, cache=cache)
     assert weak2.from_cache and weak2.best == weak.best
 
 
@@ -434,87 +413,29 @@ def test_search_signature_is_normalized():
     search renders ``mtall``, never ``mtNone``."""
     from repro.tuner import search_signature
 
-    assert search_signature("exhaustive", None, 0) == ""
-    assert search_signature("exhaustive", 5, 3) == "|exhaustive-mt5-s3"
-    assert search_signature("random", None, 0) == "|random-mtall-s0"
-    assert search_signature("random", 7, 1) == "|random-mt7-s1"
-    for strategy in ("exhaustive", "random", "halving"):
-        assert "None" not in search_signature(strategy, None, 0)
+    assert search_signature("exhaustive", None) == ""
+    assert search_signature("exhaustive", 5) == "|exhaustive-mt5"
+    assert search_signature("model", None) == "|model-mtall-p4-o0.75"
+    assert search_signature("model", 7) == "|model-mt7-p4-o0.75"
+    for strategy in ("exhaustive", "model"):
+        assert "None" not in search_signature(strategy, None)
 
 
-def test_search_signature_folds_all_result_changing_params():
-    """slack loosens the prune, and the halving rung scale/eta pick the
-    finalists — all three change the winner, so all three key."""
+def test_search_signature_folds_all_result_changing_params(monkeypatch):
+    """The strategy, the trial cap and the model's probe/optimism
+    constants all change the winner, so all of them key."""
+    import repro.tuner.search as search_mod
     from repro.tuner import search_signature
 
-    # halving always carries its rung parameters (legacy keys never match)
-    assert search_signature("halving", None, 2) == \
-        "|halving-mtall-s2-hs0.25-he2"
-    assert search_signature("halving", 4, 0, halving_scale=0.5,
-                            halving_eta=3) == "|halving-mt4-s0-hs0.5-he3"
-    # a slack-loosened prune never shares the strict run's key — not even
-    # the canonical bare exhaustive one
-    assert search_signature("exhaustive", None, 0, slack=0.1) == \
-        "|exhaustive-mtall-s0-sl0.1"
-    assert search_signature("random", 3, 1, slack=0.05) == \
-        "|random-mt3-s1-sl0.05"
-    # distinct parameter values produce distinct suffixes
-    sigs = {search_signature("halving", None, 0, halving_scale=s)
-            for s in (0.1, 0.25, 0.5)}
-    assert len(sigs) == 3
-
-
-def test_halving_scale_does_not_alias_other_searches(tmp_path):
-    """Acceptance regression: a halving search with non-default
-    ``halving_scale`` must not be served another run's winner — not the
-    exhaustive entry, not a differently-scaled halving entry."""
-    cache = TuneCache(tmp_path / "cache.json")
-    full = tune(small_task(), world=SMALL_WORLD, cache=cache)
-    aggressive = tune(small_task(), world=SMALL_WORLD, strategy="halving",
-                      halving_scale=0.9, cache=cache)
-    assert not aggressive.from_cache              # no alias of exhaustive
-    default_scale = tune(small_task(), world=SMALL_WORLD, strategy="halving",
-                         cache=cache)
-    assert not default_scale.from_cache           # no alias of hs=0.9 either
-    # the canonical exhaustive entry was never clobbered by the weaker runs
-    rerun = tune(small_task(), world=SMALL_WORLD, cache=cache)
-    assert rerun.from_cache and rerun.best == full.best
-    # while an identical halving request does hit its own entry
-    again = tune(small_task(), world=SMALL_WORLD, strategy="halving",
-                 halving_scale=0.9, cache=cache)
-    assert again.from_cache and again.best == aggressive.best
-
-
-def test_legacy_halving_keys_are_not_served(tmp_path):
-    """Migration safety (same stance as the ``mtNone`` cleanup): an entry
-    stored under the pre-scale halving key format must not be served to
-    the new scale-qualified key."""
-    from repro.tuner import task_cache_key
-
-    task = small_task()
-    cache = TuneCache(tmp_path / "cache.json")
-    new_key = task_cache_key(task, world=SMALL_WORLD, spec=H800,
-                             strategy="halving", max_trials=2, seed=0)
-    assert new_key.endswith("|halving-mt2-s0-hs0.25-he2")
-    legacy_key = new_key[:new_key.index("-hs")]   # old format: no rung params
-    cache.put(legacy_key, {"bogus": 1}, 1e-9)     # poisoned legacy entry
-
-    res = tune(task, world=SMALL_WORLD, strategy="halving", max_trials=2,
-               cache=cache)
-    assert not res.from_cache                      # legacy entry ignored
-    assert "bogus" not in res.best
-    assert new_key in cache                        # qualified key written
-
-
-def test_slack_does_not_alias_strict_prune(tmp_path):
-    """A slack-loosened prune caches under its own key; the strict run
-    re-searches instead of inheriting the loosened winner."""
-    cache = TuneCache(tmp_path / "cache.json")
-    loose = tune(small_task(), world=SMALL_WORLD, slack=0.25, cache=cache)
-    strict = tune(small_task(), world=SMALL_WORLD, cache=cache)
-    assert not strict.from_cache
-    assert len(cache) == 2
-    assert loose.best_time >= strict.best_time * (1 - 1e-12)
+    sigs = {search_signature(strategy, mt)
+            for strategy in ("exhaustive", "model") for mt in (None, 3, 5)}
+    assert len(sigs) == 6
+    # the model constants are read at call time: changing one re-keys
+    monkeypatch.setattr(search_mod, "DEFAULT_PROBES", 6)
+    assert search_signature("model", None) == "|model-mtall-p6-o0.75"
+    monkeypatch.setattr(search_mod, "DEFAULT_OPTIMISM", 0.5)
+    assert search_signature("model", None) == "|model-mtall-p6-o0.5"
+    assert search_signature("exhaustive", None) == ""
 
 
 def test_legacy_mtnone_keys_are_not_served(tmp_path):
@@ -527,17 +448,17 @@ def test_legacy_mtnone_keys_are_not_served(tmp_path):
     task = small_task()
     cache = TuneCache(tmp_path / "cache.json")
     new_key = task_cache_key(task, world=SMALL_WORLD, spec=H800,
-                             strategy="random", max_trials=None, seed=0)
-    assert new_key.endswith("|random-mtall-s0")
+                             strategy="model", max_trials=None)
+    assert new_key.endswith("|model-mtall-p4-o0.75")
     legacy_key = new_key.replace("mtall", "mtNone")
     cache.put(legacy_key, {"bogus": 1}, 1e-9)     # poisoned legacy entry
 
-    res = tune(task, world=SMALL_WORLD, strategy="random", cache=cache)
+    res = tune(task, world=SMALL_WORLD, strategy="model", cache=cache)
     assert not res.from_cache                      # legacy entry ignored
     assert "bogus" not in res.best
     assert new_key in cache                        # normalized key written
     # and an identical rerun now hits the normalized entry
-    rerun = tune(task, world=SMALL_WORLD, strategy="random", cache=cache)
+    rerun = tune(task, world=SMALL_WORLD, strategy="model", cache=cache)
     assert rerun.from_cache and rerun.best == res.best
 
 
@@ -564,14 +485,6 @@ def test_tune_start_tile_non_divisible_shape():
     assert any(c["block_m"] == 256 for c, _ in res.trials)
     assert res.best_time <= res.default_time
     res.best_config.validate(world)
-
-
-def test_halving_respects_max_trials():
-    task = small_task()
-    res = tune(task, world=SMALL_WORLD, strategy="halving", max_trials=4)
-    # default + <=4 scaled rung sims + <=2 finalists
-    assert res.n_simulated <= 1 + 4 + 2
-    assert res.best_time <= res.default_time
 
 
 def test_cache_key_isolates_spec_and_space(tmp_path):

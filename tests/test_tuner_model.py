@@ -4,8 +4,8 @@ Covers the PR's acceptance scenario: ``strategy="model"`` runs strictly
 fewer full-fidelity simulations than ``strategy="exhaustive"`` on the
 Figure-8 MLP shapes while ``best_time <= default_time`` holds on every
 shape, and a model-search cache entry never aliases an exhaustive one
-(the probe budget and stop optimism are folded into the search
-signature).
+(the probe budget and stop optimism constants are folded into the
+search signature).
 """
 
 from __future__ import annotations
@@ -16,14 +16,17 @@ import pytest
 
 # importing the zoo registers every kernel's search space
 import repro.kernels  # noqa: F401
+import repro.tuner.search as search_mod
 from repro.bench.experiments import mlp_sweep_tasks
+from repro.bench.harness import run_builder
 from repro.kernels.ag_gemm import ag_gemm_tune_task
 from repro.models.configs import MLP_BENCHES
 from repro.tuner import (
     ResidualModel,
     TuneCache,
     TunerError,
-    search_signature,
+    model_guided_search,
+    prune,
     stratified_probe_indices,
     sweep,
     task_cache_key,
@@ -125,12 +128,14 @@ def test_model_strategy_never_worse_than_default():
 
 
 def test_model_strategy_rejects_bad_parameters():
+    def search(**kw):
+        return model_guided_search([{"a": 1}], [1.0], [], 2.0,
+                                   lambda c: 1.0, lambda c: 1.0, **kw)
+
     with pytest.raises(TunerError):
-        tune(small_task(), world=SMALL_WORLD, strategy="model",
-             model_optimism=1.5)
+        search(optimism=1.5)
     with pytest.raises(TunerError):
-        tune(small_task(), world=SMALL_WORLD, strategy="model",
-             model_probes=0)
+        search(probes=0)
 
 
 def test_model_strategy_respects_max_trials():
@@ -139,18 +144,9 @@ def test_model_strategy_respects_max_trials():
     assert res.n_simulated <= 1 + 3                   # default + capped set
 
 
-def test_model_signature_and_cache_non_aliasing(tmp_path):
+def test_model_signature_and_cache_non_aliasing(tmp_path, monkeypatch):
     """A model-search entry must never be served to an exhaustive request
     (or vice versa), while an identical model request hits its own key."""
-    assert search_signature("model", None, 0) == "|model-mtall-s0-p4-o0.75"
-    assert search_signature("model", 5, 2, model_probes=6,
-                            model_optimism=0.5) == "|model-mt5-s2-p6-o0.5"
-    # distinct budgets produce distinct keys
-    sigs = {search_signature("model", None, 0, model_probes=p,
-                             model_optimism=o)
-            for p in (2, 4) for o in (0.5, 0.75)}
-    assert len(sigs) == 4
-
     cache = TuneCache(tmp_path / "cache.json")
     mo = tune(small_task(), world=SMALL_WORLD, strategy="model", cache=cache)
     ex = tune(small_task(), world=SMALL_WORLD, cache=cache)
@@ -162,12 +158,14 @@ def test_model_signature_and_cache_non_aliasing(tmp_path):
                  cache=cache)
     assert again.from_cache and again.n_simulated == 0
     assert again.best == mo.best
-    # a different optimism re-searches instead of aliasing
+    # a different optimism constant re-searches instead of aliasing
+    monkeypatch.setattr(search_mod, "DEFAULT_OPTIMISM", 0.5)
     other = tune(small_task(), world=SMALL_WORLD, strategy="model",
-                 model_optimism=0.5, cache=cache)
+                 cache=cache)
     assert not other.from_cache
-    assert task_cache_key(small_task(), world=SMALL_WORLD, spec=H800,
-                          strategy="model", model_optimism=0.5) in cache
+    key = task_cache_key(small_task(), world=SMALL_WORLD, spec=H800,
+                         strategy="model")
+    assert key.endswith("-o0.5") and key in cache
 
 
 def test_model_optimism_zero_degrades_to_bound_pruning():
@@ -175,13 +173,24 @@ def test_model_optimism_zero_degrades_to_bound_pruning():
     itself: the stop rule can only fire where bound-based dynamic
     re-pruning would have skipped anyway, so nothing that exhaustive
     simulates is skipped and the winner matches exhaustive's."""
-    ex = tune(small_task(), world=SMALL_WORLD)
-    mo = tune(small_task(), world=SMALL_WORLD, strategy="model",
-              model_optimism=0.0)
-    assert mo.best == ex.best
-    assert mo.best_time == pytest.approx(ex.best_time)
-    assert mo.n_simulated + mo.n_pruned_dynamic + mo.n_model_skipped \
-        >= ex.n_simulated
+    task = small_task()
+    ex = tune(task, world=SMALL_WORLD)
+
+    def simulate(cand):
+        return run_builder(task.make_builder(cand), world=SMALL_WORLD)
+
+    default_time = simulate(task.default)
+    trials = [(dict(task.default), default_time)]
+    pruned = prune([c for c in task.space.candidates() if c != task.default],
+                   task.bound, default_time)
+    _, n_sim, n_dyn, n_skipped = model_guided_search(
+        pruned.survivors, pruned.bounds, trials, default_time, simulate,
+        task.bound, optimism=0.0)
+    best, best_time = min(trials, key=lambda ct: ct[1])
+    assert best == ex.best
+    assert best_time == pytest.approx(ex.best_time)
+    # + 1: exhaustive's count includes the default's simulation
+    assert 1 + n_sim + n_dyn + n_skipped >= ex.n_simulated
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,11 @@ def test_single_cold_group_runs_inline(tmp_path):
     assert len(cache) == 1
 
 
-def _boom_make_builder(cand, scale):
+def _boom_make_builder(cand):
     raise RuntimeError("injected mid-sweep crash")
 
 
-def _exit_make_builder(cand, scale):
+def _exit_make_builder(cand):
     os._exit(3)
 
 

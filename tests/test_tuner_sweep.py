@@ -70,7 +70,7 @@ def test_moe_and_attention_bounds_are_lower_bounds():
              ring_attention_tune_task(4, 64, 4096, world=SMALL_WORLD))
     for task in tasks:
         for cand in list(task.space.candidates())[:3]:
-            simulated = run_builder(task.make_builder(cand, 1.0),
+            simulated = run_builder(task.make_builder(cand),
                                     world=SMALL_WORLD)
             assert task.bound(cand) <= simulated, (task.kernel, cand)
 
