@@ -2,11 +2,11 @@
 
 ``benchmarks/warm_cache.json`` is a checked-in :class:`repro.tuner.TuneCache`
 file holding the exhaustive-search winners for the Figure-8 MLP,
-Table-4 MoE and Figure-10 attention shape tables (world=8, H800,
-``preset="small"``).  When it resolves, the ``*_builders`` in
-:mod:`repro.bench.experiments` default to ``tuned=True`` and the
-Figure-8/9/10 tables grow a TileLink-tuned column at zero simulation
-cost — every autotune call is a warm hit.
+Table-4 MoE and Figure-10 attention shape tables (world=8, H800).
+When it resolves, the ``*_builders`` in :mod:`repro.bench.experiments`
+default to ``tuned=True`` and the Figure-8/9/10 tables grow a
+TileLink-tuned column at zero simulation cost — every tuned-column
+lookup is a warm hit.
 
 Cache keys embed the hardware-spec and search-space fingerprints, so any
 change to a kernel's design space (or to ``HardwareSpec``) silently

@@ -11,16 +11,16 @@ Quickstart — the fastest path to your own kernel family:
    the ``tl`` tile-centric primitives), annotating ``role``/``outputs``;
 2. wrap the shapes in a frozen config dataclass and write a launcher
    that wires mappings, channels and the SPMD launch;
-3. describe the design space as a ``SearchSpace`` + ``TuneTask`` so the
-   autotuner can search it;
+3. describe the design space as a ``SearchSpace`` and build a
+   ``TuneTask`` over it, so ``repro.tuner.tune(task)`` can search it;
 4. mirror the launch as an analyzer plan (``PlanBuilder``) so the
    static synchronization verifier can prove it deadlock/race-free;
 5. make ONE ``repro.registry.register_family()`` call from this module.
 
 After step 5 every consumer resolves the family through the registry
 with zero edits anywhere else: ``python -m repro.registry --list`` shows
-it, ``repro.analyze`` sweeps its plans, the tuner finds its space, the
-bench harness gets its builders.  A family can also contribute a serving
+it, ``repro.analyze`` sweeps its plans, ``fam.tune_task()`` hands the
+tuner its task, the bench harness gets its builders.  A family can also contribute a serving
 ``method`` (see ``repro/kernels/chunk_gemm_rs.py``, which registers
 ``"tilelink-chunk"`` the same way and appears in ``models.runner``).
 
@@ -42,7 +42,8 @@ from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.registry import get_family, register_family
 from repro.runtime.launcher import launch_spmd
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
+from repro.tuner.search import TuneTask, tune
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 WORLD = 4
 
@@ -134,8 +135,7 @@ def ag_softmax_overlapped(ctx: DistContext, cfg: AgSoftmaxConfig,
 # Step 3 — tuner hooks: a design space and a task over it
 # ---------------------------------------------------------------------------
 
-def ag_softmax_search_space(m: int, n: int, world: int,
-                            preset: str = "small") -> SearchSpace:
+def ag_softmax_search_space(m: int, n: int, world: int) -> SearchSpace:
     per_rank = m // world
     return SearchSpace(axes=(
         Axis("block_m", divisors_of(per_rank, (16, 32, 64))),
@@ -143,13 +143,7 @@ def ag_softmax_search_space(m: int, n: int, world: int,
     ))
 
 
-register_space("ag_softmax", ag_softmax_search_space)
-
-
-def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD,
-                         preset: str = "small"):
-    from repro.tuner.search import TuneTask
-
+def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD) -> TuneTask:
     def make_builder(cand: dict):
         cfg = AgSoftmaxConfig(m=m, n=n, **cand)
 
@@ -163,7 +157,7 @@ def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD,
 
     return TuneTask(
         kernel="ag_softmax", shape_key=f"m{m}n{n}",
-        space=ag_softmax_search_space(m, n, world, preset=preset),
+        space=ag_softmax_search_space(m, n, world),
         default=AgSoftmaxConfig(m=m, n=n).tune_candidate(),
         make_builder=make_builder,
         bound=lambda c: 0.0,        # no analytic floor: simulate everything
@@ -218,7 +212,6 @@ register_family(
     config_cls=AgSoftmaxConfig,
     kernels=(ag_softmax,),
     launch=ag_softmax_overlapped,
-    search_space=lambda: ag_softmax_search_space(256, 64, WORLD),
     tune_task=lambda: ag_softmax_tune_task(256, 64),
     analyze_plans=lambda: [lambda: build_ag_softmax_plan(world=2),
                            lambda: build_ag_softmax_plan(world=4)],
@@ -267,9 +260,10 @@ def main() -> None:
         print(f"analyzer: {plan.name} clean "
               f"({len(plan.threads)} abstract threads)")
 
-    # autotuning: search the registered space (6 candidates here)
-    from repro.tuner.search import tune
+    # autotuning: tune the registered task (6 candidates here)
     result = tune(fam.tune_task(), world=WORLD)
+    assert result.n_candidates == 6
+    assert result.best_time <= result.default_time
     print(f"tuner: best {result.best} at {result.best_time * 1e6:.1f} us "
           f"(default {result.default_time * 1e6:.1f} us, "
           f"{result.n_candidates} candidates)")

@@ -18,7 +18,7 @@ Public entry points:
 * :mod:`repro.baselines` -- cuBLAS+NCCL / Async-TP / FLUX / vLLM baselines;
 * :mod:`repro.bench` -- the per-figure experiment drivers;
 * :mod:`repro.tuner` -- autotuning over the decoupled design space
-  (``AgGemmConfig.autotune(...)``, ``mode="auto"``, persistent cache).
+  (``tune(ag_gemm_tune_task(...))``, persistent cache).
 """
 
 from repro.config import H800, A100, HardwareSpec, SimConfig

@@ -30,10 +30,6 @@ def env_flag(name: str, default: str = "0") -> bool:
         not in ("0", "", "false", "no", "off")
 
 
-#: ``REPRO_FAST=1`` trims sweeps (subset of shapes) for quick iteration.
-FAST = env_flag("REPRO_FAST")
-
-
 def make_ctx(world: int = DEFAULT_WORLD, numerics: bool = False,
              trace: bool = False, spec: HardwareSpec = H800,
              n_nodes: int = 1, seed: int = 0) -> DistContext:

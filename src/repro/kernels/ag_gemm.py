@@ -20,8 +20,7 @@ segments are still in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.collectives.copy_engine import dma_all_gather
 from repro.compiler.program import CompileOptions
@@ -36,11 +35,7 @@ from repro.runtime.context import DistContext
 from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_gemm_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
 @kernel
@@ -153,14 +148,14 @@ class AgGemmConfig:
     block_mp: int = 128
     comm_blocks: int = 20
     channels_per_rank: int = 1
-    mode: str = "dma"  # dma | pull | push | auto (resolved by the tuner)
+    mode: str = "dma"  # dma | pull | push
 
     def validate(self, world: int) -> None:
         if self.m % world != 0:
             raise ShapeError(f"M={self.m} not divisible by world={world}")
         if (self.m // world) % self.block_mp != 0:
             raise ShapeError("per-rank rows must align to the comm tile")
-        if self.mode not in ("dma", "pull", "push", "auto"):
+        if self.mode not in ("dma", "pull", "push"):
             raise RuntimeLaunchError(f"unknown AG+GEMM mode {self.mode!r}")
 
     def tune_candidate(self) -> dict:
@@ -168,24 +163,6 @@ class AgGemmConfig:
         return dict(block_m=self.block_m, block_n=self.block_n,
                     block_k=self.block_k, block_mp=self.block_mp,
                     comm_blocks=self.comm_blocks, mode=self.mode)
-
-    @classmethod
-    def autotune(cls, m: int, n: int, k: int, *, world: int = 8,
-                 spec: HardwareSpec = H800, strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None,
-                 full_result: bool = False) -> "AgGemmConfig | TuneResult":
-        """Search the decoupled design space for this shape; return the
-        winning config (or the full :class:`~repro.tuner.TuneResult` when
-        ``full_result`` is set)."""
-        from repro.tuner.search import tune
-
-        task = ag_gemm_tune_task(m, n, k, world=world, spec=spec,
-                                 space=space, preset=preset)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials)
-        return result if full_result else result.best_config
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +174,23 @@ class AgGemmConfig:
 _DMA_CANONICAL_COMM_BLOCKS = 20
 
 
-def ag_gemm_search_space(m: int, n: int, k: int, world: int,
-                         preset: str = "default") -> SearchSpace:
+def ag_gemm_search_space(m: int, n: int, k: int, world: int) -> SearchSpace:
     """The §3.1 design space of AG+GEMM for one shape.
 
     Axes: compute tile (``block_m/n/k``), communication tile (``block_mp``),
     communication SM count (``comm_blocks``) and resource mapping ``mode``
     (``dma`` = copy-engine transport; ``pull``/``push`` = SM transport in
-    either dataflow direction).  ``preset="small"`` is the compact space
-    used by ``mode="auto"`` and quick tuning runs; ``"default"`` is the
-    full sweep for offline searches.
+    either dataflow direction).
     """
     per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(m, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-            Axis("block_mp", divisors_of(per_rank, (128, 256))),
-            Axis("comm_blocks", (2, 4, 8, 20, 40)),
-            Axis("mode", ("dma", "pull", "push")),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(m, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-            Axis("block_mp", divisors_of(per_rank, (64, 128, 256, 512))),
-            Axis("comm_blocks", (4, 8, 16, 20, 32, 48)),
-            Axis("mode", ("dma", "pull", "push")),
-        )
-    else:
-        raise RuntimeLaunchError(f"unknown AG+GEMM space preset {preset!r}")
+    axes = (
+        Axis("block_m", divisors_of(m, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+        Axis("block_mp", divisors_of(per_rank, (128, 256))),
+        Axis("comm_blocks", (2, 4, 8, 20, 40)),
+        Axis("mode", ("dma", "pull", "push")),
+    )
 
     def valid(cand: dict) -> bool:
         if cand["mode"] == "dma":
@@ -238,17 +200,13 @@ def ag_gemm_search_space(m: int, n: int, k: int, world: int,
     return SearchSpace(axes=axes, constraint=valid)
 
 
-register_space("ag_gemm", ag_gemm_search_space)
-
-
 def ag_gemm_tune_task(m: int, n: int, k: int, *, world: int = 8,
                       spec: HardwareSpec = H800,
-                      space: SearchSpace | None = None,
-                      preset: str = "small"):
+                      space: SearchSpace | None = None):
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+GEMM on a shape."""
     from repro.tuner.search import TuneTask
 
-    space = space or ag_gemm_search_space(m, n, k, world, preset=preset)
+    space = space or ag_gemm_search_space(m, n, k, world)
 
     def make_builder(cand: dict):
         cfg = AgGemmConfig(m=m, n=n, k=k, **cand)
@@ -292,16 +250,6 @@ def ag_gemm_overlapped(
     """
     machine = ctx.machine
     world = machine.world_size
-    if cfg.mode == "auto":
-        # Resolve through the tuner (persistent default cache makes this a
-        # one-time cost per shape/spec/world); candidates all carry
-        # concrete modes, so the nested launches cannot recurse.
-        from repro.tuner.cache import TuneCache
-
-        tuned = AgGemmConfig.autotune(cfg.m, cfg.n, cfg.k, world=world,
-                                      spec=machine.config.spec,
-                                      cache=TuneCache())
-        cfg = replace(tuned, channels_per_rank=cfg.channels_per_rank)
     cfg.validate(world)
     spec = machine.config.spec
     grid = grid or spec.n_sms
@@ -381,10 +329,9 @@ def _bench_builders():
     return ag_gemm_builders
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", **_kw):
+def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800):
     task = ag_gemm_tune_task(shape.s, shape.i // world, shape.h,
-                             world=world, spec=spec, preset=preset)
+                             world=world, spec=spec)
     return [(f"{shape.name}/ag_gemm", task)]
 
 
@@ -397,19 +344,12 @@ def _warm_tasks(world: int, spec: HardwareSpec):
     return tasks
 
 
-def _shape_autotune(shape, world: int, **tune_kw):
-    return AgGemmConfig.autotune(shape.s, shape.i // world, shape.h,
-                                 world=world, full_result=True, **tune_kw)
-
-
 register_family(
     name="ag_gemm",
     doc="AllGather + GEMM (tensor-parallel MLP part 1)",
     config_cls=AgGemmConfig,
     kernels=(_ag_consumer_gemm, _ag_pull_producer, _ag_push_producer),
     launch=ag_gemm_overlapped,
-    search_space=lambda: ag_gemm_search_space(512, 128, 128, 2,
-                                              preset="small"),
     tune_task=lambda: ag_gemm_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,
@@ -418,5 +358,4 @@ register_family(
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
     warm_tasks=_warm_tasks,
-    shape_autotune=_shape_autotune,
 )

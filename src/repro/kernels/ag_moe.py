@@ -19,12 +19,11 @@ are compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.collectives.copy_engine import dma_all_gather
 from repro.compiler.program import CompileOptions
 from repro.config import H800, HardwareSpec
-from repro.errors import RuntimeLaunchError, ShapeError
+from repro.errors import ShapeError
 from repro.kernels.moe_common import MoeRouting, routing_memo
 from repro.lang import tl
 from repro.lang.dsl import kernel
@@ -35,11 +34,7 @@ from repro.runtime.context import DistContext
 from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_moe_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
 @kernel
@@ -100,33 +95,12 @@ class AgMoeConfig:
         return dict(block_m=self.block_m, block_n=self.block_n,
                     block_k=self.block_k)
 
-    @classmethod
-    def autotune(cls, m: int, h: int, d: int, n_experts: int, topk: int, *,
-                 world: int = 8, spec: HardwareSpec = H800,
-                 strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None, router_seed: int = 17,
-                 full_result: bool = False) -> "AgMoeConfig | TuneResult":
-        """Search the routing-aware design space for this MoE shape; return
-        the winning config (or the full :class:`~repro.tuner.TuneResult`
-        when ``full_result`` is set)."""
-        from repro.tuner.search import tune
-
-        task = ag_moe_tune_task(m, h, d, n_experts, topk, world=world,
-                                spec=spec, space=space, preset=preset,
-                                router_seed=router_seed)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials)
-        return result if full_result else result.best_config
-
 
 # ---------------------------------------------------------------------------
 # Tuner integration: the AG+MoE slice of the decoupled design space
 # ---------------------------------------------------------------------------
 
-def ag_moe_search_space(m: int, h: int, d: int, world: int,
-                        preset: str = "default") -> SearchSpace:
+def ag_moe_search_space(m: int, h: int, d: int, world: int) -> SearchSpace:
     """The routing-aware design space of AG+MoE part 1 for one shape.
 
     ``block_m`` is both the grouped-GEMM row tile and the routing/AG
@@ -136,29 +110,16 @@ def ag_moe_search_space(m: int, h: int, d: int, world: int,
     copy engine, so there is no mode or ``comm_blocks`` axis here.
     """
     per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-        )
-    else:
-        raise RuntimeLaunchError(f"unknown AG+MoE space preset {preset!r}")
-    return SearchSpace(axes=axes)
-
-
-register_space("ag_moe", ag_moe_search_space)
+    return SearchSpace(axes=(
+        Axis("block_m", divisors_of(per_rank, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+    ))
 
 
 def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
                      world: int = 8, spec: HardwareSpec = H800,
-                     space: SearchSpace | None = None, preset: str = "small",
+                     space: SearchSpace | None = None,
                      router_seed: int = 17):
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+MoE on a shape.
 
@@ -170,7 +131,7 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
     """
     from repro.tuner.search import TuneTask
 
-    space = space or ag_moe_search_space(m, h, d, world, preset=preset)
+    space = space or ag_moe_search_space(m, h, d, world)
     routing_for = routing_memo(m, n_experts, topk, world, router_seed)
 
     def make_builder(cand: dict):
@@ -284,10 +245,10 @@ def _bench_builders():
 
 
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", router_seed: int = 17, **_kw):
+                   router_seed: int = 17):
     task = ag_moe_tune_task(shape.s, shape.h, shape.i // world, shape.e,
                             shape.topk, world=world, spec=spec,
-                            preset=preset, router_seed=router_seed)
+                            router_seed=router_seed)
     return [(f"{shape.name}/ag_moe", task)]
 
 
@@ -300,20 +261,12 @@ def _warm_tasks(world: int, spec: HardwareSpec):
     return tasks
 
 
-def _shape_autotune(shape, world: int, **tune_kw):
-    return AgMoeConfig.autotune(shape.s, shape.h, shape.i // world,
-                                shape.e, shape.topk, world=world,
-                                full_result=True, **tune_kw)
-
-
 register_family(
     name="ag_moe",
     doc="AllGather + MoE GroupGEMM (expert-parallel MoE part 1)",
     config_cls=AgMoeConfig,
     kernels=(_ag_moe_group_gemm,),
     launch=ag_moe_overlapped,
-    search_space=lambda: ag_moe_search_space(512, 128, 128, 2,
-                                             preset="small"),
     tune_task=lambda: ag_moe_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,
@@ -321,5 +274,4 @@ register_family(
     sweep_category="moe",
     sweep_entries=_sweep_entries,
     warm_tasks=_warm_tasks,
-    shape_autotune=_shape_autotune,
 )

@@ -19,22 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.config import H800, HardwareSpec
-from repro.errors import RuntimeLaunchError, ShapeError
+from repro.errors import ShapeError
 from repro.ops.attention import flash_segment_time, heads_to_seq, seq_to_heads
 from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.tuner.costprune import ag_attention_lower_bound
-from repro.tuner.space import Axis, SearchSpace, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.space import Axis, SearchSpace
 
 #: analyzer annotation (repro.analyze): this family has no tile IR — the
 #: flash consumer is a native simulated kernel, so the static analyzer
@@ -66,50 +61,13 @@ class AgAttentionConfig:
         """This config as a tuner candidate dict (the searched axes)."""
         return dict(block_q=self.block_q, block_kv=self.block_kv)
 
-    @classmethod
-    def autotune(cls, heads: int, head_dim: int, seq_len: int, *,
-                 causal: bool = True, kernel: str = "ag_attention",
-                 world: int = 8, spec: HardwareSpec = H800,
-                 strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None,
-                 full_result: bool = False
-                 ) -> "AgAttentionConfig | TuneResult":
-        """Search the flash-tile design space for this shape; ``kernel``
-        picks the overlapped AG kernel (``"ag_attention"``) or the
-        RingAttention baseline (``"ring_attention"``).  Returns the winning
-        config (or the full :class:`~repro.tuner.TuneResult` when
-        ``full_result`` is set)."""
-        from repro.tuner.search import tune
-
-        if kernel == "ag_attention":
-            task = ag_attention_tune_task(heads, head_dim, seq_len,
-                                          causal=causal, world=world,
-                                          spec=spec, space=space,
-                                          preset=preset)
-        elif kernel == "ring_attention":
-            from repro.kernels.ring_attention import ring_attention_tune_task
-
-            task = ring_attention_tune_task(heads, head_dim, seq_len,
-                                            causal=causal, world=world,
-                                            spec=spec, space=space,
-                                            preset=preset)
-        else:
-            raise RuntimeLaunchError(
-                f"unknown tunable attention kernel {kernel!r}")
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials)
-        return result if full_result else result.best_config
-
 
 # ---------------------------------------------------------------------------
 # Tuner integration: the attention slice of the design space
 # ---------------------------------------------------------------------------
 
 def attention_search_space(heads: int, head_dim: int, seq_len: int,
-                           world: int,
-                           preset: str = "default") -> SearchSpace:
+                           world: int) -> SearchSpace:
     """The flash-tile design space shared by both attention kernels.
 
     Axes are the flash q/kv tile sizes; communication rides the copy
@@ -117,34 +75,20 @@ def attention_search_space(heads: int, head_dim: int, seq_len: int,
     ``comm_blocks``/mode axis.  Tiles need not divide the per-rank
     sequence (the kernels ``cdiv``), so the axes are plain value lists.
     """
-    if preset == "small":
-        axes = (
-            Axis("block_q", (128, 256)),
-            Axis("block_kv", (128, 256)),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_q", (64, 128, 256)),
-            Axis("block_kv", (64, 128, 256, 512)),
-        )
-    else:
-        raise RuntimeLaunchError(f"unknown attention space preset {preset!r}")
-    return SearchSpace(axes=axes)
-
-
-register_space("ag_attention", attention_search_space)
+    return SearchSpace(axes=(
+        Axis("block_q", (128, 256)),
+        Axis("block_kv", (128, 256)),
+    ))
 
 
 def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
                            causal: bool = True, world: int = 8,
                            spec: HardwareSpec = H800,
-                           space: SearchSpace | None = None,
-                           preset: str = "small"):
+                           space: SearchSpace | None = None):
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+flash attention."""
     from repro.tuner.search import TuneTask
 
-    space = space or attention_search_space(heads, head_dim, seq_len, world,
-                                            preset=preset)
+    space = space or attention_search_space(heads, head_dim, seq_len, world)
 
     def make_builder(cand: dict):
         cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,
@@ -333,12 +277,11 @@ def _bench_builders():
 
 
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", causal: bool = True, **_kw):
+                   causal: bool = True):
     tasks = []
     for seq_len in shape.seq_lens:
         task = ag_attention_tune_task(shape.heads, shape.head_dim, seq_len,
-                                      causal=causal, world=world, spec=spec,
-                                      preset=preset)
+                                      causal=causal, world=world, spec=spec)
         tasks.append((f"{shape.name}/s{seq_len}/ag_attention", task))
     return tasks
 
@@ -357,8 +300,6 @@ register_family(
     doc="KV AllGather + flash attention (sequence parallel)",
     config_cls=AgAttentionConfig,
     launch=ag_attention_overlapped,
-    search_space=lambda: attention_search_space(4, 32, 512, 2,
-                                                preset="small"),
     tune_task=lambda: ag_attention_tune_task(4, 32, 512, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,

@@ -51,11 +51,10 @@ from repro.runtime.context import DistContext
 from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +244,6 @@ class ChunkGemmRsConfig:
                     block_k=self.block_k, block_nr=self.block_nr,
                     n_chunks=self.n_chunks)
 
-    @classmethod
-    def autotune(cls, m: int, n: int, k: int, *, world: int = 8,
-                 spec: HardwareSpec = H800, strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None, full_result: bool = False,
-                 ) -> "ChunkGemmRsConfig | TuneResult":
-        """Search tile sizes and chunk counts for this shape."""
-        from repro.tuner.search import tune
-
-        task = chunk_gemm_rs_tune_task(m, n, k, world=world, spec=spec,
-                                       space=space, preset=preset)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials)
-        return result if full_result else result.best_config
-
 
 def _default_chunk_config(m: int, n: int, k: int,
                           world: int) -> ChunkGemmRsConfig:
@@ -278,43 +261,26 @@ def _default_chunk_config(m: int, n: int, k: int,
 # Tuner integration
 # ---------------------------------------------------------------------------
 
-def chunk_gemm_rs_search_space(m: int, n: int, k: int, world: int,
-                               preset: str = "default") -> SearchSpace:
+def chunk_gemm_rs_search_space(m: int, n: int, k: int,
+                               world: int) -> SearchSpace:
     """Design space of chunked GEMM+RS: tiles plus the chunk schedule."""
     per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-            Axis("block_nr", (256,)),
-            Axis("n_chunks", (1, 2, 4)),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-            Axis("block_nr", (128, 256, 512)),
-            Axis("n_chunks", (1, 2, 4, 8)),
-        )
-    else:
-        raise RuntimeLaunchError(
-            f"unknown chunk GEMM+RS space preset {preset!r}")
-    return SearchSpace(axes=axes)
-
-
-register_space("chunk_gemm_rs", chunk_gemm_rs_search_space)
+    return SearchSpace(axes=(
+        Axis("block_m", divisors_of(per_rank, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+        Axis("block_nr", (256,)),
+        Axis("n_chunks", (1, 2, 4)),
+    ))
 
 
 def chunk_gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
                             spec: HardwareSpec = H800,
-                            space: SearchSpace | None = None,
-                            preset: str = "small"):
+                            space: SearchSpace | None = None):
     """Build the :class:`~repro.tuner.TuneTask` tuning chunked GEMM+RS."""
     from repro.tuner.search import TuneTask
 
-    space = space or chunk_gemm_rs_search_space(m, n, k, world, preset=preset)
+    space = space or chunk_gemm_rs_search_space(m, n, k, world)
 
     def make_builder(cand: dict):
         cfg = ChunkGemmRsConfig(m=m, n=n, k=k, **cand)
@@ -496,7 +462,6 @@ def build_chunk_gemm_rs_plan(world: int = 2, n_chunks: int = 2, *,
 def chunk_gemm_rs_builders(shape, world: int = 8, *,
                            tuned: bool | None = None,
                            tune_cache: "TuneCache | None" = None,
-                           tune_preset: str = "small",
                            tune_max_trials: int | None = None):
     """Method grid comparing the chunked kernel against its siblings."""
     from repro.baselines import nonoverlap
@@ -528,14 +493,13 @@ def chunk_gemm_rs_builders(shape, world: int = 8, *,
            "TileLink-chunk": tl_chunk}
     if tuned:
         def tl_chunk_tuned(ctx: DistContext) -> None:
-            from repro.tuner.cache import TuneCache
+            from repro.bench.experiments import tuned_column_config
 
             _alloc(ctx)
-            cfg = ChunkGemmRsConfig.autotune(
-                m, n, k, world=ctx.world_size,
-                spec=ctx.machine.config.spec,
-                cache=(tune_cache if tune_cache is not None else TuneCache()),
-                preset=tune_preset, max_trials=tune_max_trials)
+            cfg = tuned_column_config(
+                ctx, lambda w, spec: chunk_gemm_rs_tune_task(
+                    m, n, k, world=w, spec=spec),
+                tune_cache, auto=False, max_trials=tune_max_trials)
             chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
         out["TileLink-chunk-tuned"] = tl_chunk_tuned
@@ -567,17 +531,10 @@ def _analyze_plans():
     ]
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", **_kw):
+def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800):
     task = chunk_gemm_rs_tune_task(shape.s, shape.h, shape.i // world,
-                                   world=world, spec=spec, preset=preset)
+                                   world=world, spec=spec)
     return [(f"{shape.name}/chunk_gemm_rs", task)]
-
-
-def _shape_autotune(shape, world: int, **tune_kw):
-    return ChunkGemmRsConfig.autotune(shape.s, shape.h, shape.i // world,
-                                      world=world, full_result=True,
-                                      **tune_kw)
 
 
 register_family(
@@ -586,8 +543,6 @@ register_family(
     config_cls=ChunkGemmRsConfig,
     kernels=(_chunk_gemm_producer, _chunk_rs_reduce),
     launch=chunk_gemm_rs_overlapped,
-    search_space=lambda: chunk_gemm_rs_search_space(512, 128, 128, 2,
-                                                    preset="small"),
     tune_task=lambda: chunk_gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=lambda: chunk_gemm_rs_builders,
@@ -595,7 +550,6 @@ register_family(
     modes=("chunk",),
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
-    shape_autotune=_shape_autotune,
     serve_method=ServeMethod(name="tilelink-chunk", base="tilelink",
                              op_overrides={"gemm_rs": _serve_gemm_rs}),
 )

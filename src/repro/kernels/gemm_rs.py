@@ -22,8 +22,7 @@ subspace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.compiler.program import CompileOptions
 from repro.errors import RuntimeLaunchError, ShapeError
@@ -37,11 +36,7 @@ from repro.runtime.context import DistContext
 from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
 @kernel
@@ -199,7 +194,7 @@ class GemmRsConfig:
     block_nr: int = 256   # comm tile cols
     comm_blocks: int = 20
     channels_per_rank: int = 1
-    mode: str = "hybrid"  # ring | hybrid | auto (resolved by the tuner)
+    mode: str = "hybrid"  # ring | hybrid
 
     def validate(self, world: int) -> None:
         if self.m % world != 0:
@@ -207,7 +202,7 @@ class GemmRsConfig:
         m_per = self.m // world
         if m_per % self.block_m != 0 or m_per % self.block_mr != 0:
             raise ShapeError("per-rank rows must align to both tile sizes")
-        if self.mode not in ("ring", "hybrid", "auto"):
+        if self.mode not in ("ring", "hybrid"):
             raise RuntimeLaunchError(f"unknown GEMM+RS mode {self.mode!r}")
 
     def tune_candidate(self) -> dict:
@@ -216,24 +211,6 @@ class GemmRsConfig:
                     block_k=self.block_k, block_mr=self.block_mr,
                     block_nr=self.block_nr, comm_blocks=self.comm_blocks,
                     mode=self.mode)
-
-    @classmethod
-    def autotune(cls, m: int, n: int, k: int, *, world: int = 8,
-                 spec: HardwareSpec = H800, strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None,
-                 full_result: bool = False) -> "GemmRsConfig | TuneResult":
-        """Search the decoupled design space for this shape; return the
-        winning config (or the full :class:`~repro.tuner.TuneResult` when
-        ``full_result`` is set)."""
-        from repro.tuner.search import tune
-
-        task = gemm_rs_tune_task(m, n, k, world=world, spec=spec,
-                                 space=space, preset=preset)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials)
-        return result if full_result else result.best_config
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +221,7 @@ class GemmRsConfig:
 _HYBRID_CANONICAL_COMM_BLOCKS = 20
 
 
-def gemm_rs_search_space(m: int, n: int, k: int, world: int,
-                         preset: str = "default") -> SearchSpace:
+def gemm_rs_search_space(m: int, n: int, k: int, world: int) -> SearchSpace:
     """The §3.1 design space of GEMM+RS for one shape.
 
     Decoupled compute tile (``block_m/n/k``) and reduction/communication
@@ -254,28 +230,15 @@ def gemm_rs_search_space(m: int, n: int, k: int, world: int,
     engine and reduces on all SMs.
     """
     per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-            Axis("block_mr", divisors_of(per_rank, (128, 256))),
-            Axis("block_nr", (256,)),
-            Axis("comm_blocks", (4, 20, 40)),
-            Axis("mode", ("hybrid", "ring")),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-            Axis("block_mr", divisors_of(per_rank, (64, 128, 256, 512))),
-            Axis("block_nr", (128, 256, 512)),
-            Axis("comm_blocks", (4, 8, 16, 20, 32, 48)),
-            Axis("mode", ("hybrid", "ring")),
-        )
-    else:
-        raise RuntimeLaunchError(f"unknown GEMM+RS space preset {preset!r}")
+    axes = (
+        Axis("block_m", divisors_of(per_rank, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+        Axis("block_mr", divisors_of(per_rank, (128, 256))),
+        Axis("block_nr", (256,)),
+        Axis("comm_blocks", (4, 20, 40)),
+        Axis("mode", ("hybrid", "ring")),
+    )
 
     def valid(cand: dict) -> bool:
         if cand["mode"] == "hybrid":
@@ -285,17 +248,14 @@ def gemm_rs_search_space(m: int, n: int, k: int, world: int,
     return SearchSpace(axes=axes, constraint=valid)
 
 
-register_space("gemm_rs", gemm_rs_search_space)
-
 
 def gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
                       spec: HardwareSpec = H800,
-                      space: SearchSpace | None = None,
-                      preset: str = "small"):
+                      space: SearchSpace | None = None):
     """Build the :class:`~repro.tuner.TuneTask` tuning GEMM+RS on a shape."""
     from repro.tuner.search import TuneTask
 
-    space = space or gemm_rs_search_space(m, n, k, world, preset=preset)
+    space = space or gemm_rs_search_space(m, n, k, world)
 
     def make_builder(cand: dict):
         cfg = GemmRsConfig(m=m, n=n, k=k, **cand)
@@ -333,13 +293,6 @@ def gemm_rs_overlapped(
     """Launch overlapped GEMM+RS; ``out`` receives (m/world x n) sums."""
     machine = ctx.machine
     world = machine.world_size
-    if cfg.mode == "auto":
-        from repro.tuner.cache import TuneCache
-
-        tuned = GemmRsConfig.autotune(cfg.m, cfg.n, cfg.k, world=world,
-                                      spec=machine.config.spec,
-                                      cache=TuneCache())
-        cfg = replace(tuned, channels_per_rank=cfg.channels_per_rank)
     cfg.validate(world)
     grid = grid or machine.config.spec.n_sms
     m_per = cfg.m // world
@@ -436,10 +389,9 @@ def _bench_builders():
     return gemm_rs_builders
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", **_kw):
+def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800):
     task = gemm_rs_tune_task(shape.s, shape.h, shape.i // world,
-                             world=world, spec=spec, preset=preset)
+                             world=world, spec=spec)
     return [(f"{shape.name}/gemm_rs", task)]
 
 
@@ -452,19 +404,12 @@ def _warm_tasks(world: int, spec: HardwareSpec):
     return tasks
 
 
-def _shape_autotune(shape, world: int, **tune_kw):
-    return GemmRsConfig.autotune(shape.s, shape.h, shape.i // world,
-                                 world=world, full_result=True, **tune_kw)
-
-
 register_family(
     name="gemm_rs",
     doc="GEMM + ReduceScatter (tensor-parallel MLP part 2)",
     config_cls=GemmRsConfig,
     kernels=(_gemm_rs_ring, _gemm_producer, _rs_reduce),
     launch=gemm_rs_overlapped,
-    search_space=lambda: gemm_rs_search_space(512, 128, 128, 2,
-                                              preset="small"),
     tune_task=lambda: gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,
@@ -473,5 +418,4 @@ register_family(
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
     warm_tasks=_warm_tasks,
-    shape_autotune=_shape_autotune,
 )

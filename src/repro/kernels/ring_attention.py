@@ -27,7 +27,7 @@ from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.tuner.costprune import ring_attention_lower_bound
-from repro.tuner.space import SearchSpace, register_space
+from repro.tuner.space import SearchSpace
 
 #: per-step host cost of the torch.distributed SendRecv pair
 HOP_DISPATCH_OVERHEAD = 30e-6
@@ -36,17 +36,14 @@ HOP_DISPATCH_OVERHEAD = 30e-6
 ANALYZE_META = dict(family="ring_attention", tile_ir=False,
                     detail="rotating-KV lockstep ring on host processes")
 
+
 # The ring baseline shares the flash-tile axes with the AG kernel — the
 # searched subspace is the same q/kv tiling; only the builder (and its
 # lockstep cost structure) differs.
-register_space("ring_attention", attention_search_space)
-
-
 def ring_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
                              causal: bool = True, world: int = 8,
                              spec: HardwareSpec = H800,
-                             space: SearchSpace | None = None,
-                             preset: str = "small"):
+                             space: SearchSpace | None = None):
     """Build the :class:`~repro.tuner.TuneTask` tuning RingAttention.
 
     Tuning the baseline keeps the Figure-10 comparison honest: TileLink's
@@ -55,8 +52,7 @@ def ring_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
     """
     from repro.tuner.search import TuneTask
 
-    space = space or attention_search_space(heads, head_dim, seq_len, world,
-                                            preset=preset)
+    space = space or attention_search_space(heads, head_dim, seq_len, world)
 
     def make_builder(cand: dict):
         cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,
@@ -184,12 +180,12 @@ def _bench_builders():
 
 
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", causal: bool = True, **_kw):
+                   causal: bool = True):
     tasks = []
     for seq_len in shape.seq_lens:
         task = ring_attention_tune_task(shape.heads, shape.head_dim, seq_len,
                                         causal=causal, world=world,
-                                        spec=spec, preset=preset)
+                                        spec=spec)
         tasks.append((f"{shape.name}/s{seq_len}/ring_attention", task))
     return tasks
 
@@ -199,8 +195,6 @@ register_family(
     doc="RingAttention baseline (rotating-KV lockstep ring)",
     config_cls=AgAttentionConfig,
     launch=ring_attention,
-    search_space=lambda: attention_search_space(4, 32, 512, 2,
-                                                preset="small"),
     tune_task=lambda: ring_attention_tune_task(4, 32, 512, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,

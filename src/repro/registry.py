@@ -8,7 +8,8 @@ that into one declarative :class:`KernelFamily` record and a single
 :func:`register_family` call made from the family's own module:
 
 * the static analyzer (``repro.analyze``) enumerates ``analyze_plans``,
-* the tuner sweep drivers enumerate ``sweep_entries`` / ``warm_tasks``,
+* the tuner sweep drivers (and ``tuned_vs_paper``) enumerate
+  ``sweep_entries`` / ``warm_tasks``,
 * the bench harness resolves ``bench_builders``,
 * the serving stack resolves extra ``method`` names via ``serve_method``.
 
@@ -84,8 +85,6 @@ class KernelFamily:
     config_cls: type
     #: launcher: ``launch(ctx, cfg, *tensor_names, ...)``
     launch: Callable[..., Any]
-    #: zero-arg factory -> ``SearchSpace`` for a representative small shape
-    search_space: Callable[[], Any]
     #: zero-arg factory -> ``TuneTask`` for a representative small shape
     tune_task: Callable[[], Any]
     #: zero-arg factory -> list of zero-arg analyzer plan thunks
@@ -102,13 +101,14 @@ class KernelFamily:
     tile_ir: bool = True
     #: which sweep table the family belongs to ("mlp" / "moe" / "attention")
     sweep_category: str | None = None
-    #: ``fn(shape, *, world, spec, preset, **kw) -> [(task_name, TuneTask)]``
+    #: ``fn(shape, *, world, spec=H800, ...) -> [(task_name, TuneTask)]``;
+    #: the family's own extras (``router_seed`` for MoE, ``causal`` for
+    #: attention) are exact keywords, so a stale or misspelt one raises
+    #: ``TypeError``
     sweep_entries: Callable[..., list] | None = None
     #: ``fn(world, spec) -> [(task_name, TuneTask)]`` for the warm cache,
     #: or None when the family ships no warm-cache entries
     warm_tasks: Callable[..., list | None] | None = None
-    #: ``fn(shape, world, **tune_kw) -> TuneResult`` (``tuned_vs_paper`` hook)
-    shape_autotune: Callable[..., Any] | None = None
     #: extra serving method contributed by this family
     serve_method: ServeMethod | None = None
     #: one-line description
@@ -125,7 +125,6 @@ _discovered = False
 #: partial registration fails loudly, naming the missing piece.
 _REQUIRED_CALLABLES = (
     ("launch", "launch builder"),
-    ("search_space", "search_space factory"),
     ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
     ("bench_builders", "bench_builders factory"),
@@ -137,7 +136,6 @@ def register_family(
     name: str,
     config_cls: type | None = None,
     launch: Callable | None = None,
-    search_space: Callable | None = None,
     tune_task: Callable | None = None,
     analyze_plans: Callable | None = None,
     bench_builders: Callable | None = None,
@@ -148,7 +146,6 @@ def register_family(
     sweep_category: str | None = None,
     sweep_entries: Callable | None = None,
     warm_tasks: Callable | None = None,
-    shape_autotune: Callable | None = None,
     serve_method: ServeMethod | None = None,
     doc: str = "",
 ) -> KernelFamily:
@@ -214,12 +211,12 @@ def register_family(
     provenance = f"{caller.f_globals.get('__name__', '?')}:{caller.f_lineno}"
     family = KernelFamily(
         name=name, config_cls=config_cls, launch=launch,
-        search_space=search_space, tune_task=tune_task,
+        tune_task=tune_task,
         analyze_plans=analyze_plans, bench_builders=bench_builders,
         worlds=tuple(worlds), modes=tuple(modes), kernels=tuple(kernels),
         tile_ir=tile_ir, sweep_category=sweep_category,
         sweep_entries=sweep_entries, warm_tasks=warm_tasks,
-        shape_autotune=shape_autotune, serve_method=serve_method,
+        serve_method=serve_method,
         doc=doc, provenance=provenance,
     )
     _REGISTRY[name] = family

@@ -53,8 +53,8 @@ Builder = Callable[[Any], None]
 class TuneTask:
     """Everything the searcher needs to tune one kernel on one shape.
 
-    Kernel modules construct these next to their config dataclasses (see
-    ``AgGemmConfig.autotune``).  ``make_builder(candidate)`` must return a
+    Kernel modules construct these next to their config dataclasses with
+    a ``*_tune_task`` factory (see ``repro.kernels.ag_gemm``).  ``make_builder(candidate)`` must return a
     fresh-context builder simulating the candidate on the task's shape.
     ``bound(candidate)`` is the analytic lower bound the pruner uses;
     ``finalize(candidate)`` converts the winning dict into the kernel's
@@ -103,7 +103,7 @@ def search_signature(strategy: str, max_trials: int | None) -> str:
     """Cache-key suffix identifying a *restricted* search.
 
     The canonical full search (exhaustive, uncapped) keeps a bare key so
-    bench reruns and ``mode="auto"`` all share one entry; every weaker
+    bench reruns and the shipped warm cache all share one entry; every weaker
     search is suffixed so its possibly-weaker winner never aliases it.
     The suffix folds in ``max_trials`` (``mtall`` when uncapped) and, for
     the model strategy, its probe budget and stop optimism (both move
@@ -138,7 +138,7 @@ def task_cache_key(task: TuneTask, *, world: int, spec: HardwareSpec,
 def _simulate(task: TuneTask, cand: Candidate, *, world: int,
               spec: HardwareSpec) -> float:
     # Imported lazily: repro.bench pulls in the kernel zoo, which itself
-    # imports the tuner to register search spaces.
+    # imports the tuner for its search spaces and cost bounds.
     from repro.bench.harness import run_builder
 
     return run_builder(task.make_builder(cand), world=world, spec=spec)

@@ -8,18 +8,17 @@ tuple of named :class:`Axis` objects plus an optional constraint that
 rejects invalid/duplicate combinations (e.g. shape-divisibility rules, or
 the fact that a copy-engine mapping ignores the ``comm_blocks`` axis).
 
-Each kernel registers a *space factory* next to its config dataclass (see
-``repro.kernels.ag_gemm``) via :func:`register_space`; the tuner resolves
-it by kernel name with :func:`get_space`.  To add a new kernel to the
-tuner:
+Each kernel defines a *space factory* next to its config dataclass (see
+``repro.kernels.ag_gemm``).  To add a new kernel to the tuner:
 
-1. write ``def my_kernel_search_space(m, n, k, world, preset="default")``
-   returning a :class:`SearchSpace` whose axis names match the kernel's
+1. write ``def my_kernel_search_space(m, n, k, world)`` returning a
+   :class:`SearchSpace` whose axis names match the kernel's
    config-dataclass fields,
-2. call ``register_space("my_kernel", my_kernel_search_space)`` at module
-   scope, and
-3. expose an ``autotune`` classmethod that builds a
-   :class:`repro.tuner.search.TuneTask` from it.
+2. write ``def my_kernel_tune_task(m, n, k, *, world, spec)`` building a
+   :class:`repro.tuner.search.TuneTask` over that space, and
+3. tune it with ``tune(my_kernel_tune_task(...), world=..., spec=...)``;
+   :func:`repro.registry.register_family` takes the task factory so the
+   sweep drivers and the analyzer see the family too.
 """
 
 from __future__ import annotations
@@ -96,33 +95,6 @@ class SearchSpace:
         payload = json.dumps(
             [[a.name, [repr(v) for v in a.values]] for a in self.axes])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
-# ---------------------------------------------------------------------------
-# Per-kernel space registry
-# ---------------------------------------------------------------------------
-
-#: kernel name -> factory(m, n, k, world, preset=...) -> SearchSpace
-_SPACE_REGISTRY: dict[str, Callable[..., SearchSpace]] = {}
-
-
-def register_space(kernel: str, factory: Callable[..., SearchSpace]) -> None:
-    """Register ``factory`` as the search-space builder for ``kernel``."""
-    _SPACE_REGISTRY[kernel] = factory
-
-
-def get_space(kernel: str) -> Callable[..., SearchSpace]:
-    """Resolve the registered space factory for ``kernel``."""
-    try:
-        return _SPACE_REGISTRY[kernel]
-    except KeyError:
-        raise TunerError(
-            f"no search space registered for kernel {kernel!r}; "
-            f"known: {sorted(_SPACE_REGISTRY)}") from None
-
-
-def registered_kernels() -> tuple[str, ...]:
-    return tuple(sorted(_SPACE_REGISTRY))
 
 
 def divisors_of(extent: int, values: Sequence[int]) -> tuple[int, ...]:

@@ -3,10 +3,10 @@ registered record, loud failure on partial registrations, the serving
 method axis, and the ``python -m repro.registry`` manifest.
 
 The meta-test is the registry's contract: every family a consumer can
-resolve must expose a working hook for *each* consumer — tuner (search
-space + tune task), analyzer (plans covering its declared worlds), bench
-(builders) and launch — so a family can never be half-wired into the
-stack.
+resolve must expose a working hook for *each* consumer — tuner (tune
+task over a non-empty search space), analyzer (plans covering its
+declared worlds), bench (builders) and launch — so a family can never be
+half-wired into the stack.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.registry import (
     resolve_serve_method,
     serve_method_names,
 )
-from repro.tuner.space import get_space
 
 
 def test_all_shipped_families_registered():
@@ -47,13 +46,11 @@ def test_family_record_is_complete(name):
     assert dataclasses.is_dataclass(fam.config_cls)
     assert callable(fam.launch)
 
-    # tuner: the search space and representative task resolve, and the
-    # task routes back to this family
-    space = fam.search_space()
-    assert len(list(space.candidates())) >= 1
+    # tuner: the representative task resolves, routes back to this
+    # family, and searches a non-empty space
     task = fam.tune_task()
     assert task.kernel == name
-    assert callable(get_space(name))
+    assert len(list(task.space.candidates())) >= 1
 
     # analyzer: at least one plan per declared world
     plans = [thunk() for thunk in fam.analyze_plans()]
@@ -77,7 +74,6 @@ def test_family_record_is_complete(name):
 
 @pytest.mark.parametrize("drop,piece", [
     ("launch", "launch builder"),
-    ("search_space", "search_space factory"),
     ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
     ("bench_builders", "bench_builders factory"),
@@ -93,7 +89,7 @@ def test_partial_registration_raises_naming_the_piece(drop, piece):
 
     kwargs = dict(
         name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        search_space=lambda: [], tune_task=lambda: None,
+        tune_task=lambda: None,
         analyze_plans=lambda: [], bench_builders=lambda: dict,
         worlds=(2,), tile_ir=False,
     )
@@ -110,7 +106,7 @@ def test_tile_ir_family_requires_annotated_kernels():
 
     kwargs = dict(
         name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        search_space=lambda: [], tune_task=lambda: None,
+        tune_task=lambda: None,
         analyze_plans=lambda: [], bench_builders=lambda: dict,
         worlds=(2,),
     )
@@ -134,7 +130,7 @@ def test_duplicate_registration_names_the_incumbent():
                        match=r"already registered.*repro\.kernels\.ag_gemm"):
         register_family(
             name="ag_gemm", config_cls=Cfg, launch=lambda ctx, cfg: None,
-            search_space=lambda: [], tune_task=lambda: None,
+            tune_task=lambda: None,
             analyze_plans=lambda: [], bench_builders=lambda: dict,
             worlds=(2,), tile_ir=False,
         )
@@ -171,7 +167,7 @@ def test_serve_method_validation():
 
     kwargs = dict(
         name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        search_space=lambda: [], tune_task=lambda: None,
+        tune_task=lambda: None,
         analyze_plans=lambda: [], bench_builders=lambda: dict,
         worlds=(2,), tile_ir=False,
     )

@@ -14,23 +14,17 @@ import json
 import pytest
 
 from repro.config import H800
-from repro.kernels.ag_gemm import (
-    AgGemmConfig,
-    ag_gemm_overlapped,
-    ag_gemm_search_space,
-    ag_gemm_tune_task,
-)
+from repro.kernels.ag_gemm import AgGemmConfig, ag_gemm_tune_task
 from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_tune_task
 from repro.models.configs import MLP_BENCHES
+from repro.registry import families
 from repro.tuner import (
     Axis,
     SearchSpace,
     TuneCache,
     TunerError,
     divisors_of,
-    get_space,
     prune,
-    registered_kernels,
     tune,
 )
 
@@ -85,15 +79,14 @@ def test_divisors_of():
 
 
 def test_kernel_registry():
-    assert {"ag_gemm", "gemm_rs"} <= set(registered_kernels())
-    space = get_space("ag_gemm")(8192, 1376, 4096, 8, preset="small")
+    fams = families()
+    assert {"ag_gemm", "gemm_rs"} <= set(fams)
+    space = fams["ag_gemm"].tune_task().space
     assert set(space.axis_names) == {"block_m", "block_n", "block_k",
                                      "block_mp", "comm_blocks", "mode"}
     # dma ignores comm_blocks: exactly one canonical value survives
     dma = [c for c in space.candidates() if c["mode"] == "dma"]
     assert len({c["comm_blocks"] for c in dma}) == 1
-    with pytest.raises(TunerError):
-        get_space("nonexistent_kernel")
 
 
 def test_default_config_is_in_its_space():
@@ -187,8 +180,8 @@ def test_retired_strategies_rejected_before_any_work(tmp_path, monkeypatch):
 
 
 def test_gemm_rs_autotune_small_shape():
-    res = GemmRsConfig.autotune(1024, 512, 512, world=4, max_trials=3,
-                                full_result=True)
+    res = tune(gemm_rs_tune_task(1024, 512, 512, world=4), world=4,
+               max_trials=3)
     assert res.best_time <= res.default_time
     cfg = res.best_config
     assert isinstance(cfg, GemmRsConfig)
@@ -508,9 +501,9 @@ def test_acceptance_mlp1_ag_gemm_tune(tmp_path):
     m, k = shape.s, shape.h
     n = shape.i // world
     cache = TuneCache(tmp_path / "tune.json")
+    task = ag_gemm_tune_task(m, n, k, world=world)
 
-    res = AgGemmConfig.autotune(m, n, k, world=world, cache=cache,
-                                max_trials=6, full_result=True)
+    res = tune(task, world=world, cache=cache, max_trials=6)
     # tuned config is no slower than the paper's hand-picked default
     assert res.best_time <= res.default_time
     # the cost-model pruner discards >= 50% of candidates pre-simulation
@@ -519,29 +512,6 @@ def test_acceptance_mlp1_ag_gemm_tune(tmp_path):
     res.best_config.validate(world)
 
     # second call: served from the persistent cache, zero simulations
-    res2 = AgGemmConfig.autotune(m, n, k, world=world, cache=cache,
-                                 max_trials=6, full_result=True)
+    res2 = tune(task, world=world, cache=cache, max_trials=6)
     assert res2.from_cache and res2.n_simulated == 0
     assert res2.best == res.best
-
-
-def test_mode_auto_resolves_through_tuner(tmp_path, monkeypatch):
-    """mode='auto' consults the tuner (default cache honours the env
-    override) and launches a concrete tuned config."""
-    from repro.bench.harness import run_builder
-
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "auto.json"))
-    m, n, k = SMALL["m"], SMALL["n"], SMALL["k"]
-
-    def build(ctx):
-        ctx.alloc("x", (m // SMALL_WORLD, k), "float16", fill=None)
-        ctx.alloc("w", (k, n), "float16", fill=None)
-        ctx.alloc("y", (m, n), "float16", fill=None)
-        cfg = AgGemmConfig(m=m, n=n, k=k, mode="auto")
-        ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
-
-    t_auto = run_builder(build, world=SMALL_WORLD)
-    t_default = tune(small_task(), world=SMALL_WORLD,
-                     cache=TuneCache(tmp_path / "auto.json")).default_time
-    assert t_auto <= t_default * 1.001
-    assert (tmp_path / "auto.json").exists()      # cache was populated

@@ -14,8 +14,6 @@ import math
 
 import pytest
 
-# importing the zoo registers every kernel's search space
-import repro.kernels  # noqa: F401
 import repro.tuner.search as search_mod
 from repro.bench.experiments import mlp_sweep_tasks
 from repro.bench.harness import run_builder

@@ -17,8 +17,6 @@ import os
 
 import pytest
 
-# importing the zoo registers every kernel's search space
-import repro.kernels  # noqa: F401
 from repro.bench.experiments import moe_sweep_tasks
 from repro.kernels.ag_moe import ag_moe_tune_task
 from repro.kernels.moe_rs import moe_rs_tune_task

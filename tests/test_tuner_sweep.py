@@ -10,19 +10,25 @@ from __future__ import annotations
 
 import pytest
 
-# importing the zoo registers every kernel's search space
-import repro.kernels  # noqa: F401
 from repro.bench.experiments import (
     attention_sweep_tasks,
     mlp_sweep_tasks,
     moe_sweep_tasks,
+    tuned_vs_paper,
 )
 from repro.kernels.ag_moe import AgMoeConfig, ag_moe_tune_task
 from repro.kernels.attention import AgAttentionConfig, ag_attention_tune_task
 from repro.kernels.moe_rs import MoeRsConfig, moe_rs_tune_task
 from repro.kernels.ring_attention import ring_attention_tune_task
-from repro.models.configs import ATTENTION_BENCHES, MOE_BENCHES
-from repro.tuner import TuneCache, TunerError, get_space, registered_kernels
+from repro.models.configs import (
+    ATTENTION_BENCHES,
+    MOE_BENCHES,
+    AttnShape,
+    MlpShape,
+    MoeShape,
+)
+from repro.registry import families, get_family
+from repro.tuner import TuneCache, TunerError, tune
 from repro.tuner.sweep import sweep
 
 SMALL_WORLD = 4
@@ -41,14 +47,16 @@ def small_moe_task(**kw):
 # ---------------------------------------------------------------------------
 
 def test_registry_includes_moe_and_attention_kernels():
+    fams = families()
     assert {"ag_gemm", "gemm_rs", "ag_moe", "moe_rs", "ag_attention",
-            "ring_attention"} <= set(registered_kernels())
-    moe_space = get_space("ag_moe")(8192, 2048, 192, 8, preset="small")
+            "ring_attention"} <= set(fams)
+    moe_space = fams["ag_moe"].tune_task().space
     assert set(moe_space.axis_names) == {"block_m", "block_n", "block_k"}
-    attn_space = get_space("ag_attention")(32, 128, 16384, 8, preset="small")
+    attn_space = fams["ag_attention"].tune_task().space
     assert set(attn_space.axis_names) == {"block_q", "block_kv"}
     # the ring baseline shares the flash-tile axes
-    assert get_space("ring_attention") is get_space("ag_attention")
+    ring_space = fams["ring_attention"].tune_task().space
+    assert ring_space.fingerprint() == attn_space.fingerprint()
 
 
 def test_moe_default_configs_are_in_their_spaces():
@@ -77,34 +85,81 @@ def test_moe_and_attention_bounds_are_lower_bounds():
 
 def test_moe_autotune_classmethods(tmp_path):
     cache = TuneCache(tmp_path / "cache.json")
-    res1 = AgMoeConfig.autotune(**SMALL_MOE, world=SMALL_WORLD, cache=cache,
-                                full_result=True)
+    res1 = tune(small_moe_task(), world=SMALL_WORLD, cache=cache)
     assert res1.best_time <= res1.default_time
     assert isinstance(res1.best_config, AgMoeConfig)
     res1.best_config.validate(SMALL_WORLD)
 
-    res2 = MoeRsConfig.autotune(**SMALL_MOE, world=SMALL_WORLD, cache=cache,
-                                full_result=True)
+    res2 = tune(moe_rs_tune_task(**SMALL_MOE, world=SMALL_WORLD),
+                world=SMALL_WORLD, cache=cache)
     assert res2.best_time <= res2.default_time
     assert isinstance(res2.best_config, MoeRsConfig)
 
     # distinct router seeds must not alias in the cache
-    res3 = AgMoeConfig.autotune(**SMALL_MOE, world=SMALL_WORLD, cache=cache,
-                                router_seed=23, full_result=True)
+    res3 = tune(small_moe_task(router_seed=23), world=SMALL_WORLD,
+                cache=cache)
     assert not res3.from_cache
 
 
 def test_attention_autotune_both_kernels(tmp_path):
     cache = TuneCache(tmp_path / "cache.json")
-    for kernel in ("ag_attention", "ring_attention"):
-        res = AgAttentionConfig.autotune(4, 64, 4096, kernel=kernel,
-                                         world=SMALL_WORLD, cache=cache,
-                                         full_result=True)
+    for make_task in (ag_attention_tune_task, ring_attention_tune_task):
+        res = tune(make_task(4, 64, 4096, world=SMALL_WORLD),
+                   world=SMALL_WORLD, cache=cache)
         assert res.best_time <= res.default_time
         assert isinstance(res.best_config, AgAttentionConfig)
-    with pytest.raises(Exception):
-        AgAttentionConfig.autotune(4, 64, 4096, kernel="warp_attention",
-                                   world=SMALL_WORLD)
+
+
+# ---------------------------------------------------------------------------
+# tuned_vs_paper: a family's one sweep task, tuned
+# ---------------------------------------------------------------------------
+
+#: one small shape per sweep table, valid in every space at SMALL_WORLD
+SMALL_SHAPES = {
+    "mlp": MlpShape("small", 512, 256, 1024, "test"),
+    "moe": MoeShape("small-moe", 512, 256, 256, 4, 2),
+    "attention": AttnShape("small-attn", 4, 64, (4096,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, fam in families().items() if fam.sweep_entries))
+def test_tuned_vs_paper_equals_a_direct_tune(name):
+    fam = get_family(name)
+    shape = SMALL_SHAPES[fam.sweep_category]
+    (_, task), = fam.sweep_entries(shape, world=SMALL_WORLD)
+    out = tuned_vs_paper(shape, kernel=name, world=SMALL_WORLD,
+                         max_trials=2)
+    direct = tune(task, world=SMALL_WORLD, max_trials=2)
+    assert out["tuned_time"] <= out["paper_time"]
+    assert out["config"] == direct.best
+    assert out["tuned_time"] == direct.best_time
+    assert out["paper_time"] == direct.default_time
+    assert out["result"].best_config == direct.best_config
+
+
+def test_tuned_vs_paper_rejects_unknown_kernel_and_multi_task_shape():
+    with pytest.raises(ValueError, match="unknown tunable kernel"):
+        tuned_vs_paper(SMALL_SHAPES["mlp"], kernel="warp_gemm",
+                       world=SMALL_WORLD)
+    two_lengths = AttnShape("two-lengths", 4, 64, (4096, 8192))
+    with pytest.raises(ValueError, match="exactly one"):
+        tuned_vs_paper(two_lengths, kernel="ag_attention", world=SMALL_WORLD)
+
+
+def test_sweep_entries_reject_stale_keywords():
+    """Each hook takes only its own keywords: a leftover or misspelt one
+    raises instead of being silently ignored."""
+    mlp, moe = SMALL_SHAPES["mlp"], SMALL_SHAPES["moe"]
+    with pytest.raises(TypeError):
+        get_family("ag_gemm").sweep_entries(mlp, world=SMALL_WORLD,
+                                            router_seed=17)
+    with pytest.raises(TypeError):
+        get_family("gemm_rs").sweep_entries(mlp, world=SMALL_WORLD,
+                                            preset="small")
+    with pytest.raises(TypeError):
+        get_family("ag_moe").sweep_entries(moe, world=SMALL_WORLD,
+                                           router_sed=17)
 
 
 # ---------------------------------------------------------------------------
