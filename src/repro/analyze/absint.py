@@ -14,7 +14,8 @@ race/coverage checks (data-dependent addressing — e.g. ``gather_rows``
 through a routing table — is out of scope by design).  Branches on
 UNKNOWN conditions are explored both ways with ``guaranteed=False``.
 
-Semantics mirror ``repro.compiler.interp.BlockInterp`` — the op table,
+Semantics mirror the lowered backend in ``repro.compiler.interp`` (and
+its reference walker, ``tests/interp_reference.py``) — the op table,
 ``consumer_wait_list`` threshold resolution, notify target selection and
 ``tile_pull_data`` shard-local row arithmetic are the same code paths
 (the channel objects are real; only the signal arrays are abstract).

@@ -7,9 +7,11 @@ Pipeline (paper §4, Figure 7)::
       -> pipelining: mark pipelined loops/prefetch    (passes.pipeline_loops)
       -> memory consistency: pin guarded loads        (passes.enforce_consistency)
       -> CompiledProgram                              (program.compile_kernel)
-      -> per-block interpretation on the simulator    (interp.run_block)
+      -> lowering to a generated Python block         (interp.lower, once per
+         function, at the program's first launch       program and numerics mode)
+      -> one simulation process per block             (runtime.launcher)
 
-Primitive lowering to "device instructions" happens inside the interpreter
+The lowering translates tile ops and primitives into straight-line Python
 against the BlockChannel's tile-centric mapping: signal primitives become
 release-semantics atomic posts / acquire-semantics spin waits on
 :class:`repro.memory.signals.SignalArray`, data primitives become

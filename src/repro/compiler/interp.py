@@ -1,32 +1,63 @@
-"""Backend interpreter: executes a CompiledProgram block on the simulator.
+"""Backend: lowers a CompiledProgram to generated Python, once per program.
 
-One invocation of :func:`run_block` is one block (CTA) of the launch grid:
-a simulation process that walks the annotated IR, advancing simulated time
-per tile operation (cost model), applying numpy effects in numeric mode,
-and interacting with signal banks / the interconnect for TileLink
-primitives.
+:func:`lower` translates the annotated tile IR of one
+:class:`~repro.compiler.program.CompiledProgram` into the source of one
+generator function, passes it through :func:`compile` + ``exec`` and
+caches the result on the program (which ``compile_kernel`` already
+memoises per specialization).  Timing mode and numeric mode get separate
+functions: timing-mode code never touches numpy data.  One call of the
+function is one block (CTA) of the launch grid, a simulation process that
+advances simulated time per tile operation (cost model), applies numpy
+effects in numeric mode and interacts with signal banks and the
+interconnect for TileLink primitives.
 
-Scheduling semantics implemented here (see compiler/passes.py for how the
-annotations are produced):
+The lowering turns scalar ``Expr`` trees into native Python expressions
+(constexprs are inlined and constant-folded), ``For`` into ``range``
+loops, ``If`` into ``if`` and ``Return`` into a plain ``return``; tile ops
+compute their cost inline, in the same float operation order as the
+reference walker in ``tests/interp_reference.py``, which the golden suite
+``tests/test_lowering.py`` pins bit-identical.  Kernel scalars and tiles
+become Python locals; a name that may be read before it is assigned is
+checked at the read and raises :class:`~repro.errors.LoweringError`, like
+an unbound name in the walker.
 
-* **aggregable loops** are priced analytically: the first iteration is
-  cost-probed, then one timed event covers all iterations (pipelined loops
-  price ``max(load, compute)`` per iteration, otherwise the sum).  In
-  numeric mode every iteration's numpy effect still runs.
-* **pipelined non-aggregable loops** prefetch their ``prefetchable`` loads
-  at iteration start — address computation replayed from the body's scalar
-  statements, value snapshotted *before* any wait primitive runs.  Loads
-  pinned by the consistency pass execute in place, after their guards.
+Scheduling semantics (see compiler/passes.py for how the annotations are
+produced):
+
+* **aggregable loops** with more than one trip are priced analytically:
+  the first iteration is cost-probed (its scalar and tile assignments
+  stay visible afterwards), then one timed event covers all iterations
+  (pipelined loops price ``max(load, compute)`` per iteration, otherwise
+  the sum).  In numeric mode a replay loop then applies every
+  iteration's numpy effects.
+* **pipelined loops** stepped one iteration at a time prefetch their
+  ``prefetchable`` ``load``/``load_vec`` ops at iteration start: address
+  scalars are recomputed into temporaries from the body's top-level
+  scalar statements, and the value is snapshotted *before* any wait
+  primitive of the body runs.  Loads pinned by the consistency pass
+  execute in place, after their guards.
 * **signal primitives** lower to release-semantics posts (fire and forget)
   and acquire-semantics waits on :class:`repro.memory.signals.SignalArray`.
 * **data primitives and remote loads** reserve interconnect pipes; payloads
   land at arrival time, so unguarded remote reads observe stale data.
+
+Generated code is compiled under a virtual file name inside this package
+(``<lowered kernel-name timing|numeric #n>``), so profilers charge its time
+to ``repro.compiler``.  :mod:`linecache` regenerates the source on demand
+(:func:`lowered_source` returns it too), so tracebacks show the generated
+line, under a comment naming the kernel source line it came from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import ast
+import functools
+import itertools
+import linecache
+import math
+import weakref
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -47,6 +78,7 @@ from repro.lang.ir import (
     TensorRef,
     TileOp,
     UnaryOp,
+    walk_block,
 )
 from repro.compiler.program import CompiledProgram
 from repro.compiler.values import (
@@ -55,782 +87,1034 @@ from repro.compiler.values import (
     apply_binary,
     apply_unary,
     padded_to,
+    tile_of,
 )
 from repro.memory.tensor import SimTensor, resolve_dtype
-from repro.sim.engine import Timeout
+from repro.sim.engine import ProcessGen, Timeout
 from repro.sim.machine import Machine
 
+#: fraction of aggregable-loop load bytes that miss L2 and hit HBM
+AGG_DRAM_DISCOUNT = 0.22
 
-class _ReturnSignal(Exception):
-    """Internal: a Return statement unwound the block."""
+_PROGRAM_IDS = itertools.count()
 
-
-@dataclass
-class CostRec:
-    """Per-op cost: SM compute time, SM load time, HBM bytes to charge."""
-
-    compute: float = 0.0
-    load: float = 0.0
-    hbm_bytes: float = 0.0
-
-    def add(self, other: "CostRec") -> None:
-        self.compute += other.compute
-        self.load += other.load
-        self.hbm_bytes += other.hbm_bytes
+#: signature of a lowered block: (machine, rank, block_id, n_blocks,
+#: bindings, label) -> the block's simulation process
+BlockFn = Callable[[Machine, int, int, int, dict, str], ProcessGen]
 
 
-class BlockInterp:
-    """Interpreter state for one block of one rank's launch."""
+def lower(program: CompiledProgram, execute: bool) -> BlockFn:
+    """The lowered block function of ``program`` (generated on first use).
 
-    #: fraction of aggregable-loop load bytes that miss L2 and hit HBM
-    AGG_DRAM_DISCOUNT = 0.22
+    ``execute`` selects numeric mode (numpy effects) or timing mode.
+    """
+    fn = program.lowered.get(execute)
+    if fn is None:
+        fn = program.lowered[execute] = _Lowering(program, execute).build()
+    return fn
 
-    def __init__(self, program: CompiledProgram, machine: Machine, rank: int,
-                 block_id: int, n_blocks: int, bindings: dict[str, Any],
-                 label: str = ""):
-        self.program = program
-        self.machine = machine
-        self.rank = rank
-        self.device = machine.device(rank)
-        self.cost = machine.cost
-        self.bindings = bindings
-        self.execute = machine.config.execute_numerics
-        self.label = label or program.name
-        self.channel: BlockChannel | None = None
-        if program.ir.channel_param is not None:
-            ch = bindings.get(program.ir.channel_param)
-            if not isinstance(ch, BlockChannel):
-                raise RuntimeLaunchError(
-                    f"kernel {program.name!r} expects a BlockChannel for "
-                    f"parameter {program.ir.channel_param!r}")
-            self.channel = ch
-        self.scalars: dict[str, Any] = {"$bid": block_id, "$nblocks": n_blocks}
-        self.scalars.update(program.constexprs)
-        for p in program.tensor_params:
-            if p not in bindings:
-                raise RuntimeLaunchError(
-                    f"kernel {program.name!r} missing argument {p!r}")
-            v = bindings[p]
-            if isinstance(v, (int, float)):
-                self.scalars[p] = v
-        self.tiles: dict[str, TileVal] = {}
 
-    # ------------------------------------------------------------------ utils
+def lowered_source(program: CompiledProgram, execute: bool) -> str:
+    """The generated source behind :func:`lower` (for reading and tests)."""
+    return _Lowering(program, execute).source()
 
-    def _trace(self, category: str, start: float, end: float) -> None:
-        if self.machine.config.trace and end > start:
-            self.machine.record(self.rank, category, self.label, start, end)
 
-    def _charge(self, rec: CostRec, category: str = "compute"):
-        """Generator: advance simulated time for a cost record."""
-        t0 = self.machine.now
-        arrival = t0
-        if rec.hbm_bytes > 0:
-            arrival = self.device.reserve_hbm(rec.hbm_bytes)
-        dur = max(rec.compute + rec.load, arrival - t0)
-        if dur > 0:
-            yield Timeout(dur)
-        self._trace(category, t0, self.machine.now)
+# ---------------------------------------------------------------------------
+# runtime helpers (called from generated code)
+# ---------------------------------------------------------------------------
 
-    def require_channel(self) -> BlockChannel:
-        if self.channel is None:
-            raise LoweringError(
-                f"kernel {self.program.name!r} uses primitives but has no "
-                "BlockChannel parameter")
-        return self.channel
 
-    # -------------------------------------------------------------- expressions
+#: value of a kernel local that has not been assigned yet
+_UNSET = object()
+_F32 = np.dtype(np.float32)
 
-    def eval(self, e: Expr, env: dict[str, Any] | None = None) -> Any:
-        scope = env if env is not None else self.scalars
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Name):
-            if e.id in scope:
-                return scope[e.id]
-            if e.id in self.scalars:
-                return self.scalars[e.id]
-            raise LoweringError(
-                f"{self.program.name}: undefined scalar {e.id!r}")
-        if isinstance(e, ChannelField):
-            return self.require_channel().scalar_field(e.field_name)
-        if isinstance(e, UnaryOp):
-            v = self.eval(e.operand, env)
-            return -v if e.op == "-" else (not v)
-        if isinstance(e, BinOp):
-            op = e.op
-            if op == "and":
-                return self.eval(e.left, env) and self.eval(e.right, env)
-            if op == "or":
-                return self.eval(e.left, env) or self.eval(e.right, env)
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "//":
-                return a // b
-            if op == "/":
-                return a / b
-            if op == "%":
-                return a % b
-            if op == "**":
-                return a ** b
-            if op == "cdiv":
-                return -(-a // b)
-            if op == "min":
-                return min(a, b)
-            if op == "max":
-                return max(a, b)
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            if op == ">=":
-                return a >= b
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            raise LoweringError(f"unknown scalar op {op!r}")
-        raise LoweringError(f"cannot evaluate expression {e!r}")
 
-    def _range_pair(self, arg: Any, env: dict[str, Any] | None) -> tuple[int, int]:
-        if not (isinstance(arg, tuple) and len(arg) == 2):
-            raise LoweringError(f"expected (lo, hi) range, got {arg!r}")
-        return int(self.eval(arg[0], env)), int(self.eval(arg[1], env))
-
-    def _operand(self, arg: Any, env: dict[str, Any] | None) -> Any:
-        """A TileOp operand: tile name -> TileVal, Expr -> scalar."""
-        if isinstance(arg, str):
-            if arg in self.tiles:
-                return self.tiles[arg]
-            raise LoweringError(f"undefined tile {arg!r}")
-        if isinstance(arg, Expr):
-            return self.eval(arg, env)
-        raise LoweringError(f"bad tile operand {arg!r}")
-
-    def resolve_tensor(self, ref: TensorRef,
-                       env: dict[str, Any] | None) -> tuple[SimTensor, int]:
-        """Bind a TensorRef to a concrete instance; returns (tensor, rank)."""
-        bound = self.bindings.get(ref.name)
-        if bound is None:
-            raise RuntimeLaunchError(
-                f"kernel {self.program.name!r}: no binding for tensor "
-                f"{ref.name!r}")
-        if isinstance(bound, list):
-            rank = self.rank if ref.rank is None else int(self.eval(ref.rank, env))
-            if not 0 <= rank < len(bound):
-                raise RuntimeLaunchError(
-                    f"tensor {ref.name!r} indexed with rank {rank} out of "
-                    f"range [0, {len(bound)})")
-            return bound[rank], rank
-        if isinstance(bound, SimTensor):
-            if ref.rank is not None:
-                rank = int(self.eval(ref.rank, env))
-                if rank != bound.rank:
-                    raise RuntimeLaunchError(
-                        f"tensor {ref.name!r} is not symmetric; cannot index "
-                        f"rank {rank}")
-            return bound, bound.rank
+def _binding(bindings: dict[str, Any], name: str, kname: str) -> Any:
+    bound = bindings.get(name)
+    if bound is None:
         raise RuntimeLaunchError(
-            f"binding for {ref.name!r} must be SimTensor or list, got "
-            f"{type(bound).__name__}")
+            f"kernel {kname!r}: no binding for tensor {name!r}")
+    return bound
 
-    # ------------------------------------------------------------- tile ops
 
-    def eval_tile_op(self, s: TileOp, env: dict[str, Any] | None,
-                     snapshot: bool = True
-                     ) -> tuple[TileVal | None, CostRec, Any]:
-        """Evaluate one tile op: (value, cost, deferred_effect).
+def _select(bound: Any, name: str, rank: int | None,
+            my_rank: int) -> tuple[SimTensor, int]:
+    """Bind a tensor to a concrete instance; ``rank=None`` is the local one.
 
-        ``deferred_effect`` is a zero-arg callable applying the numpy write
-        (store/atomic ops), or None.  ``snapshot=False`` skips numeric data
-        (pure cost probe).
+    Returns ``(tensor, owning rank)``.
+    """
+    if isinstance(bound, list):
+        r = my_rank if rank is None else rank
+        if not 0 <= r < len(bound):
+            raise RuntimeLaunchError(
+                f"tensor {name!r} indexed with rank {r} out of "
+                f"range [0, {len(bound)})")
+        return bound[r], r
+    if isinstance(bound, SimTensor):
+        if rank is not None and rank != bound.rank:
+            raise RuntimeLaunchError(
+                f"tensor {name!r} is not symmetric; cannot index rank {rank}")
+        return bound, bound.rank
+    raise RuntimeLaunchError(
+        f"binding for {name!r} must be SimTensor or list, got "
+        f"{type(bound).__name__}")
+
+
+def _local_binding(bound: Any, name: str,
+                   my_rank: int) -> tuple[SimTensor, int] | None:
+    """The local instance, or None where :func:`_select` would raise."""
+    if isinstance(bound, list):
+        return (bound[my_rank], my_rank) if 0 <= my_rank < len(bound) else None
+    if isinstance(bound, SimTensor):
+        return bound, bound.rank
+    return None
+
+
+def _scalar_binding(bound: Any) -> Any:
+    """A tensor parameter bound to a number is a kernel scalar."""
+    return bound if isinstance(bound, (int, float)) else _UNSET
+
+
+def _channel(bindings: dict[str, Any], param: str, kname: str) -> BlockChannel:
+    ch = bindings.get(param)
+    if not isinstance(ch, BlockChannel):
+        raise RuntimeLaunchError(
+            f"kernel {kname!r} expects a BlockChannel for parameter {param!r}")
+    return ch
+
+
+def _fail(exc: type[Exception], msg: str, *_evaluated: Any) -> Any:
+    """Raise ``exc(msg)``; usable inside an expression (after its operands)."""
+    raise exc(msg)
+
+
+def _binary_stub(a: Any, b: Any) -> TileVal:
+    """Timing-mode result of a tile/scalar elementwise binary op."""
+    sa, da = (a.shape, a.dtype) if isinstance(a, TileVal) else ((), _F32)
+    sb, db = (b.shape, b.dtype) if isinstance(b, TileVal) else ((), _F32)
+    return TileVal.stub(tuple(np.broadcast_shapes(sa, sb)), np.result_type(da, db))
+
+
+def _gather_rows(tensor: SimTensor, idx: TileVal, c0: int, c1: int,
+                 numeric: bool) -> TileVal:
+    shape = (idx.shape[0], c1 - c0)
+    data = None
+    if numeric:
+        if idx.data is None:
+            raise ShapeError("gather_rows index tile has no data")
+        ids = np.clip(idx.data.astype(np.int64), 0, tensor.shape[0] - 1)
+        data = tensor.data[ids, c0:c1].astype(tensor.dtype)
+        data = padded_to(data, shape, tensor.dtype)
+    return TileVal(shape, tensor.dtype, data)
+
+
+def _scatter_add_effect(tensor: SimTensor, idx: TileVal, c0: int, c1: int,
+                        val: TileVal) -> Callable[[], None]:
+    if idx.data is None or val.data is None:
+        raise ShapeError("scatter_add_rows needs numeric operands")
+    ids = idx.data.astype(np.int64)
+    data = val.data
+
+    def effect() -> None:
+        if ids.max(initial=-1) >= tensor.shape[0] or ids.min(initial=0) < 0:
+            raise ShapeError(
+                f"scatter_add_rows index out of range on {tensor.name}")
+        region = tensor.data[:, c0:c1]
+        np.add.at(region, ids[:data.shape[0]], data[:len(ids)].astype(tensor.dtype))
+    return effect
+
+
+def _load_scalar(tensor: SimTensor, idx: int, numeric: bool) -> int:
+    if not (numeric and tensor.data is not None):
+        return 0
+    flat = tensor.data.reshape(-1)
+    if not 0 <= idx < flat.shape[0]:
+        raise ShapeError(
+            f"load_scalar index {idx} out of range "
+            f"({tensor.name}, {tensor.size} elements)")
+    return int(flat[idx])
+
+
+def _pull(ch: BlockChannel, bindings: dict[str, Any], name: str, tid_m: int,
+          tid_n: int, machine: Machine, rank: int,
+          numeric: bool) -> tuple[TileVal, float]:
+    """tile_pull_data: returns (value, arrival delay).
+
+    The payload is snapshotted at issue time on the source rank, matching
+    NVSHMEM get semantics.
+    """
+    if ch.comm_grid is None:
+        raise LoweringError("tile_pull_data needs a comm grid")
+    mapping = ch.require_mapping()
+    src_rank = mapping.rank_of(tid_m)
+    (r0, r1), (c0, c1) = ch.comm_grid.ranges(ch.comm_grid.tile_id(tid_m, tid_n))
+    bound = bindings.get(name)
+    if not isinstance(bound, list):
+        raise LoweringError("tile_pull_data source must be symmetric")
+    src = bound[src_rank]
+    per_rank = mapping.per_rank if hasattr(mapping, "per_rank") else src.shape[0]
+    lo_local = r0 - src_rank * per_rank
+    hi_local = r1 - src_rank * per_rank
+    if lo_local < 0 or hi_local > src.shape[0]:
+        raise LoweringError(
+            f"tile_pull_data tile {tid_m} rows [{r0},{r1}) fall outside "
+            f"rank {src_rank}'s shard")
+    shape = (r1 - r0, c1 - c0)
+    nbytes = shape[0] * shape[1] * src.itemsize
+    data = None
+    if numeric:
+        data = padded_to(src.read_tile(((lo_local, hi_local), (c0, c1))),
+                         shape, src.dtype)
+    if src_rank == rank:
+        delay = nbytes / machine.cost.spec.smem_bandwidth_per_sm
+    else:
+        _st, arrival = machine.interconnect.reserve(src_rank, rank, nbytes, "p2p")
+        delay = max(0.0, arrival - machine.now)
+    return TileVal(shape, src.dtype, data), delay
+
+
+_RUNTIME = {
+    "_U": _UNSET, "_F32": _F32, "_ONCE": (None,),
+    "_TileVal": TileVal, "_tile": tile_of, "_Timeout": Timeout,
+    "_LoweringError": LoweringError, "_ShapeError": ShapeError,
+    "_SimulationError": SimulationError, "_RuntimeLaunchError": RuntimeLaunchError,
+    "_binding": _binding, "_select": _select, "_local_binding": _local_binding,
+    "_scalar_binding": _scalar_binding, "_channel": _channel, "_fail": _fail,
+    "_binary_stub": _binary_stub, "_apply_binary": apply_binary,
+    "_apply_unary": apply_unary, "_padded_to": padded_to,
+    "_gather_rows": _gather_rows, "_scatter_add_effect": _scatter_add_effect,
+    "_load_scalar": _load_scalar, "_pull": _pull,
+    "_np": np, "_partial": functools.partial,
+}
+
+# ---------------------------------------------------------------------------
+# code generation
+# ---------------------------------------------------------------------------
+
+_ARITH = {"+", "-", "*", "//", "/", "%", "**", "<", "<=", ">", ">=", "==", "!="}
+_UNARY_TILE = ("exp", "log", "relu", "neg", "silu", "gelu")
+_BINARY_TILE = ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile")
+
+#: emission modes of a statement block
+_TIMED, _PROBE, _REPLAY = "timed", "probe", "replay"
+
+
+def _literal(value: Any) -> str | None:
+    """Python source for a constant, or None if it has no exact literal."""
+    if isinstance(value, bool) or value is None:
+        return repr(value)
+    if isinstance(value, (int, str)) and type(value) in (int, str):
+        return f"({value!r})" if isinstance(value, int) and value < 0 else repr(value)
+    if type(value) is float and math.isfinite(value):
+        return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
+    return None
+
+
+def _int_literal(src: str) -> int | None:
+    """The value of an int literal's source, else None."""
+    try:
+        value = ast.literal_eval(src)
+    except (ValueError, SyntaxError):
+        return None
+    return value if type(value) is int else None
+
+
+class _Cost:
+    """Cost expressions of one tile op: SM compute, SM load, HBM bytes.
+
+    ``None`` marks a component that is statically zero.
+    """
+
+    __slots__ = ("compute", "load", "hbm")
+
+    def __init__(self, compute: str | None = None, load: str | None = None,
+                 hbm: str | None = None):
+        self.compute, self.load, self.hbm = compute, load, hbm
+
+
+class _Lowering:
+    """Generates the block function of one (program, numerics mode)."""
+
+    def __init__(self, program: CompiledProgram, execute: bool):
+        self.program = program
+        self.ir = program.ir
+        self.execute = execute
+        self.kname = program.name
+        self.ns: dict[str, Any] = dict(_RUNTIME)
+        self.lines: list[str] = []
+        self.counter = 0
+        self.unset: set[str] = set()
+        self.slots: dict[int, str] = {}
+        self.hoisted: dict[str, str] = {}
+        self.names: dict[tuple[str, str], str] = {}
+        assigned = set()
+        for s in walk_block(self.ir.body):
+            if isinstance(s, AssignScalar):
+                assigned.add(s.target)
+            elif isinstance(s, For):
+                assigned.add(s.var)
+            elif isinstance(s, TileOp) and s.op == "load_scalar" and s.target:
+                assigned.add(s.target)
+        #: constexprs read as literals (never reassigned, exact literal form)
+        self.inline: dict[str, str] = {}
+        self.constexpr_locals: list[str] = []
+        for p, v in program.constexprs.items():
+            lit = _literal(v)
+            if lit is not None and p not in assigned:
+                self.inline[p] = lit
+            else:
+                self.constexpr_locals.append(p)
+
+    # ------------------------------------------------------------ utilities
+
+    def w(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"{prefix}{self.counter}"
+
+    def const(self, value: Any) -> str:
+        lit = _literal(value)
+        if lit is not None:
+            return lit
+        name = self.fresh("_k")
+        self.ns[name] = value
+        return name
+
+    def var(self, kind: str, name: str) -> str:
+        """Python local of a kernel scalar (kind "s") or tile (kind "t")."""
+        key = (kind, name)
+        if key not in self.names:
+            self.names[key] = (f"{kind}_{name}" if name.isidentifier()
+                               else f"{kind}x{len(self.names)}")
+        return self.names[key]
+
+    def svar(self, name: str) -> str:
+        return self.var("s", name)
+
+    def tvar(self, name: str) -> str:
+        return self.var("t", name)
+
+    # ----------------------------------------------------------- expressions
+
+    def x(self, e: Any, defined: set[str],
+          rename: dict[str, str] | None = None) -> str:
+        """Python expression for a scalar ``Expr`` (folded when constant)."""
+        src = self._x(e, defined, rename)
+        if src.startswith("(") or not src.isidentifier():
+            try:
+                value = eval(src, {"__builtins__": {"min": min, "max": max}})
+            except Exception:  # not constant, or raises: keep it for run time
+                return src
+            lit = _literal(value)
+            if lit is not None:
+                return lit
+        return src
+
+    def _x(self, e: Any, defined: set[str], rename: dict[str, str] | None) -> str:
+        if isinstance(e, Const):
+            return self.const(e.value)
+        if isinstance(e, Name):
+            if rename and e.id in rename:
+                return rename[e.id]
+            if e.id in self.inline:
+                return self.inline[e.id]
+            v = self.svar(e.id)
+            if v in defined:
+                return v
+            self.unset.add(v)
+            msg = self.const(f"{self.kname}: undefined scalar {e.id!r}")
+            return f"({v} if {v} is not _U else _fail(_LoweringError, {msg}))"
+        if isinstance(e, ChannelField):
+            if self.ir.channel_param is None:
+                return f"_fail(_LoweringError, {self.const(self._no_channel_msg())})"
+            return f"_ch.scalar_field({e.field_name!r})"
+        if isinstance(e, UnaryOp):
+            v = self._x(e.operand, defined, rename)
+            return f"(-{v})" if e.op == "-" else f"(not {v})"
+        if isinstance(e, BinOp):
+            a = self._x(e.left, defined, rename)
+            b = self._x(e.right, defined, rename)
+            op = e.op
+            if op in ("and", "or") or op in _ARITH:
+                return f"({a} {op} {b})"
+            if op == "cdiv":
+                return f"(-(-{a} // {b}))"
+            if op in ("min", "max"):
+                return f"{op}({a}, {b})"
+            msg = self.const(f"unknown scalar op {op!r}")
+            return f"_fail(_LoweringError, {msg}, {a}, {b})"
+        msg = self.const(f"cannot evaluate expression {e!r}")
+        return f"_fail(_LoweringError, {msg})"
+
+    def int_x(self, e: Any, defined: set[str],
+              rename: dict[str, str] | None = None) -> str:
+        src = self.x(e, defined, rename)
+        return src if _int_literal(src) is not None else f"int({src})"
+
+    def operand(self, arg: Any, defined: set[str],
+                rename: dict[str, str] | None = None) -> str:
+        """A tile op operand: tile name -> TileVal, Expr -> scalar."""
+        if isinstance(arg, str):
+            v = self.tvar(arg)
+            if v in defined:
+                return v
+            self.unset.add(v)
+            msg = self.const(f"undefined tile {arg!r}")
+            return f"({v} if {v} is not _U else _fail(_LoweringError, {msg}))"
+        if isinstance(arg, Expr):
+            return self.x(arg, defined, rename)
+        return f"_fail(_LoweringError, {self.const(f'bad tile operand {arg!r}')})"
+
+    def range_pair(self, d: int, arg: Any, lo: str, hi: str, defined: set[str],
+                   rename: dict[str, str] | None) -> None:
+        """Emit ``lo, hi = int(a), int(b)`` for a (lo, hi) pair argument."""
+        if not (isinstance(arg, tuple) and len(arg) == 2):
+            self.raise_(d, "_LoweringError", f"expected (lo, hi) range, got {arg!r}")
+            return
+        self.w(d, f"{lo} = {self.int_x(arg[0], defined, rename)}")
+        self.w(d, f"{hi} = {self.int_x(arg[1], defined, rename)}")
+
+    def raise_(self, d: int, exc: str, msg: str) -> None:
+        self.w(d, f"raise {exc}({self.const(msg)})")
+
+    def _no_channel_msg(self) -> str:
+        return (f"kernel {self.kname!r} uses primitives but has no "
+                "BlockChannel parameter")
+
+    def tensor(self, d: int, ref: TensorRef, defined: set[str],
+               rename: dict[str, str] | None = None) -> None:
+        """Emit ``_T, _o = <tensor instance, owning rank>`` for a TensorRef."""
+        kn = self.const(self.kname)
+        if ref.rank is None:
+            h = self.hoisted.get(ref.name)
+            if h is None:
+                h = self.hoisted[ref.name] = self.fresh("_b")
+            self.w(d, f"_T, _o = {h} or _select(_binding(_bindings, "
+                      f"{ref.name!r}, {kn}), {ref.name!r}, None, _rank)")
+        else:
+            r = self.int_x(ref.rank, defined, rename)
+            self.w(d, f"_T, _o = _select(_binding(_bindings, {ref.name!r}, "
+                      f"{kn}), {ref.name!r}, {r}, _rank)")
+
+    # -------------------------------------------------------------- tile ops
+
+    def tile_op(self, d: int, s: TileOp, numeric: bool, costed: bool,
+                defined: set[str], rename: dict[str, str] | None = None,
+                ) -> tuple[str | None, _Cost, list[str]]:
+        """Emit one tile op's evaluation.
+
+        Returns ``(value, cost, effect)``: the expression holding its
+        value (a scalar for ``load_scalar``), its cost (costed=True) and
+        the statements applying its deferred numpy effect.
         """
         op = s.op
-        numeric = self.execute and snapshot
-        spec = self.cost.spec
-        feed = spec.smem_bandwidth_per_sm
+        a = s.args
+        cost = _Cost()
+        effect: list[str] = []
+        val: str | None = "_val"
+        w = self.w
 
         if op in ("zeros", "full"):
-            shape = tuple(int(self.eval(x, env)) for x in s.args[0]) \
-                if isinstance(s.args[0], tuple) else (int(self.eval(s.args[0], env)),)
-            if op == "zeros":
-                dtype = resolve_dtype(s.args[1] if len(s.args) > 1 else "float32")
-                data = np.zeros(shape, dtype) if numeric else None
+            if isinstance(a[0], tuple):
+                dims = [self.int_x(x, defined, rename) for x in a[0]]
             else:
-                value = self.eval(s.args[1], env)
-                dtype = resolve_dtype(s.args[2] if len(s.args) > 2 else "float32")
-                data = np.full(shape, value, dtype) if numeric else None
-            return TileVal(shape, dtype, data), CostRec(), None
-
-        if op == "copy":
-            src = self._operand(s.args[0], env)
-            data = None
-            if numeric and src.data is not None:
-                data = src.data.copy()
-            return TileVal(src.shape, src.dtype, data), CostRec(), None
-
-        if op in ("load", "load_vec"):
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
+                dims = [self.int_x(a[0], defined, rename)]
+            shape = f"({', '.join(dims)},)"
+            if not all(_int_literal(x) is not None for x in dims):
+                w(d, f"_sh = {shape}")
+                shape = "_sh"
+            if op == "full":
+                w(d, f"_fv = {self.x(a[1], defined, rename)}")
+            dt = self.dtype_const(d, a[1] if op == "zeros" and len(a) > 1 else
+                                  a[2] if op == "full" and len(a) > 2 else "float32")
+            if dt is None:
+                return None, cost, effect
+            data = "None"
+            if numeric:
+                data = (f"_np.zeros({shape}, {dt})" if op == "zeros"
+                        else f"_np.full({shape}, _fv, {dt})")
+            w(d, f"_val = _tile({shape}, {dt}, {data})")
+        elif op == "copy":
+            w(d, f"_x = {self.operand(a[0], defined, rename)}")
+            data = ("_x.data.copy() if _x.data is not None else None"
+                    if numeric else "None")
+            w(d, f"_val = _tile(_x.shape, _x.dtype, {data})")
+        elif op in ("load", "load_vec"):
+            self.tensor(d, a[0], defined, rename)
             if op == "load":
-                rows = self._range_pair(s.args[1], env)
-                cols = self._range_pair(s.args[2], env)
-                shape = (rows[1] - rows[0], cols[1] - cols[0])
-                ranges = (rows, cols)
+                self.range_pair(d, a[1], "_r0", "_r1", defined, rename)
+                self.range_pair(d, a[2], "_c0", "_c1", defined, rename)
+                w(d, "_s0 = _r1 - _r0")
+                w(d, "_s1 = _c1 - _c0")
+                w(d, "if _s0 < 0 or _s1 < 0:")
+                w(d + 1, 'raise _ShapeError(f"negative load extent {(_s0, _s1)}")')
+                w(d, "_nb = _s0 * _s1 * _T.itemsize")
+                shape, ranges = "(_s0, _s1)", "((_r0, _r1), (_c0, _c1))"
             else:
-                span = self._range_pair(s.args[1], env)
-                shape = (span[1] - span[0],)
-                ranges = (span,)
-            if any(d < 0 for d in shape):
-                raise ShapeError(f"negative load extent {shape}")
-            nbytes = int(np.prod(shape)) * tensor.itemsize
-            data = None
-            if numeric:
-                data = padded_to(tensor.read_tile(ranges), shape, tensor.dtype)
-            if owner != self.rank:
-                # remote read over the interconnect (pull)
-                _st, arrival = self.machine.interconnect.reserve(
-                    owner, self.rank, nbytes, "p2p")
-                rec = CostRec(load=max(0.0, arrival - self.machine.now))
-                return TileVal(shape, tensor.dtype, data), rec, None
-            rec = CostRec(load=nbytes / feed, hbm_bytes=nbytes)
-            return TileVal(shape, tensor.dtype, data), rec, None
-
-        if op == "gather_rows":
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError("gather_rows requires a local tensor")
-            idx = self._operand(s.args[1], env)
-            cols = self._range_pair(s.args[2], env)
-            n_rows = idx.shape[0]
-            shape = (n_rows, cols[1] - cols[0])
-            nbytes = int(np.prod(shape)) * tensor.itemsize
-            data = None
-            if numeric:
-                if idx.data is None:
-                    raise ShapeError("gather_rows index tile has no data")
-                ids = np.clip(idx.data.astype(np.int64), 0, tensor.shape[0] - 1)
-                data = tensor.data[ids, cols[0]:cols[1]].astype(tensor.dtype)
-                data = padded_to(data, shape, tensor.dtype)
+                self.range_pair(d, a[1], "_r0", "_r1", defined, rename)
+                w(d, "_s0 = _r1 - _r0")
+                w(d, "if _s0 < 0:")
+                w(d + 1, 'raise _ShapeError(f"negative load extent {(_s0,)}")')
+                w(d, "_nb = _s0 * _T.itemsize")
+                shape, ranges = "(_s0,)", "((_r0, _r1),)"
+            data = (f"_padded_to(_T.read_tile({ranges}), {shape}, _T.dtype)"
+                    if numeric else "None")
+            w(d, f"_val = _tile({shape}, _T.dtype, {data})")
+            # remote read over the interconnect (pull)
+            w(d, "if _o != _rank:")
+            w(d + 1, '_st, _ar = _ic.reserve(_o, _rank, _nb, "p2p")')
+            if costed:
+                w(d + 1, "_L = max(0.0, _ar - _sim.now)")
+                w(d + 1, "_H = 0")
+                w(d, "else:")
+                w(d + 1, "_L = _nb / _feed")
+                w(d + 1, "_H = _nb")
+                cost = _Cost(load="_L", hbm="_H")
+        elif op == "gather_rows":
+            self.tensor(d, a[0], defined, rename)
+            w(d, "if _o != _rank:")
+            self.raise_(d + 1, "_LoweringError", "gather_rows requires a local tensor")
+            w(d, f"_x = {self.operand(a[1], defined, rename)}")
+            self.range_pair(d, a[2], "_c0", "_c1", defined, rename)
+            w(d, f"_val = _gather_rows(_T, _x, _c0, _c1, {numeric})")
             # random-access gather: 1.5x streaming cost
-            rec = CostRec(load=1.5 * nbytes / feed, hbm_bytes=1.5 * nbytes)
-            return TileVal(shape, tensor.dtype, data), rec, None
-
-        if op in ("store", "store_vec", "atomic_add"):
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError(
-                    f"{op} targets a remote tensor; use tl.tile_push_data")
+            w(d, "_nb = _val.shape[0] * _val.shape[1] * _T.itemsize")
+            cost = _Cost(load="1.5 * _nb / _feed", hbm="1.5 * _nb")
+        elif op in ("store", "store_vec", "atomic_add"):
+            val = None
+            self.tensor(d, a[0], defined, rename)
+            w(d, "if _o != _rank:")
+            self.raise_(d + 1, "_LoweringError",
+                        f"{op} targets a remote tensor; use tl.tile_push_data")
+            self.range_pair(d, a[1], "_r0", "_r1", defined, rename)
             if op == "store_vec":
-                ranges = (self._range_pair(s.args[1], env),)
-                val = self._operand(s.args[2], env)
+                ranges = "((_r0, _r1),)"
+                w(d, f"_v = {self.operand(a[2], defined, rename)}")
             else:
-                ranges = (self._range_pair(s.args[1], env),
-                          self._range_pair(s.args[2], env))
-                val = self._operand(s.args[3], env)
-            if not isinstance(val, TileVal):
-                raise LoweringError(f"{op} value must be a tile")
-            nbytes = val.nbytes
-            factor = 2.0 if op == "atomic_add" else 1.0
-            rec = CostRec(load=factor * nbytes / feed,
-                          hbm_bytes=factor * nbytes)
-            effect = None
+                self.range_pair(d, a[2], "_c0", "_c1", defined, rename)
+                ranges = "((_r0, _r1), (_c0, _c1))"
+                w(d, f"_v = {self.operand(a[3], defined, rename)}")
+            w(d, "if not isinstance(_v, _TileVal):")
+            self.raise_(d + 1, "_LoweringError", f"{op} value must be a tile")
+            factor = "2.0" if op == "atomic_add" else "1.0"
+            if costed:
+                w(d, "_nb = _v.nbytes")
+                cost = _Cost(load=f"{factor} * _nb / _feed", hbm=f"{factor} * _nb")
             if numeric:
-                data = val.data
-
-                def effect(t=tensor, r=ranges, d=data, acc=(op == "atomic_add")):
-                    if acc:
-                        t.accumulate_tile(r, d)
-                    else:
-                        t.write_tile(r, d)
-            return None, rec, effect
-
-        if op == "load_scalar":
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError("load_scalar requires a local tensor")
-            idx = int(self.eval(s.args[1], env))
-            value = 0
-            if numeric and tensor.data is not None:
-                flat = tensor.data.reshape(-1)
-                if not 0 <= idx < flat.shape[0]:
-                    raise ShapeError(
-                        f"load_scalar index {idx} out of range "
-                        f"({tensor.name}, {tensor.size} elements)")
-                value = int(flat[idx])
-            return value, CostRec(load=tensor.itemsize / feed,
-                                  hbm_bytes=tensor.itemsize), None
-
-        if op == "scatter_add_rows":
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError("scatter_add_rows requires a local tensor")
-            idx = self._operand(s.args[1], env)
-            cols = self._range_pair(s.args[2], env)
-            val = self._operand(s.args[3], env)
-            if not isinstance(val, TileVal):
-                raise LoweringError("scatter_add_rows value must be a tile")
-            nbytes = val.nbytes
-            rec = CostRec(load=2.5 * nbytes / feed, hbm_bytes=2.5 * nbytes)
-            effect = None
+                w(d, "_dd = _v.data")
+                fn = "accumulate_tile" if op == "atomic_add" else "write_tile"
+                effect = [f"_T.{fn}({ranges}, _dd)"]
+        elif op == "load_scalar":
+            self.tensor(d, a[0], defined, rename)
+            w(d, "if _o != _rank:")
+            self.raise_(d + 1, "_LoweringError", "load_scalar requires a local tensor")
+            w(d, f"_val = _load_scalar(_T, {self.int_x(a[1], defined, rename)}, "
+                 f"{numeric})")
+            cost = _Cost(load="_T.itemsize / _feed", hbm="_T.itemsize")
+        elif op == "scatter_add_rows":
+            val = None
+            self.tensor(d, a[0], defined, rename)
+            w(d, "if _o != _rank:")
+            self.raise_(d + 1, "_LoweringError", "scatter_add_rows requires a local tensor")
+            w(d, f"_x = {self.operand(a[1], defined, rename)}")
+            self.range_pair(d, a[2], "_c0", "_c1", defined, rename)
+            w(d, f"_v = {self.operand(a[3], defined, rename)}")
+            w(d, "if not isinstance(_v, _TileVal):")
+            self.raise_(d + 1, "_LoweringError", "scatter_add_rows value must be a tile")
+            w(d, "_nb = _v.nbytes")
+            cost = _Cost(load="2.5 * _nb / _feed", hbm="2.5 * _nb")
             if numeric:
-                if idx.data is None or val.data is None:
-                    raise ShapeError("scatter_add_rows needs numeric operands")
-                ids = idx.data.astype(np.int64)
-                data = val.data
-
-                def effect(t=tensor, i=ids, c=cols, d=data):
-                    if i.max(initial=-1) >= t.shape[0] or i.min(initial=0) < 0:
-                        raise ShapeError(
-                            f"scatter_add_rows index out of range on {t.name}")
-                    region = t.data[:, c[0]:c[1]]
-                    np.add.at(region, i[:d.shape[0]],
-                              d[:len(i)].astype(t.dtype))
-            return None, rec, effect
-
-        if op == "dot":
-            a = self._operand(s.args[0], env)
-            b = self._operand(s.args[1], env)
+                w(d, "_fx = _scatter_add_effect(_T, _x, _c0, _c1, _v)")
+                effect = ["_fx()"]
+        elif op == "dot":
+            w(d, f"_a = {self.operand(a[0], defined, rename)}")
+            w(d, f"_b = {self.operand(a[1], defined, rename)}")
             acc = s.kwargs.get("acc")
-            acc_val = self._operand(acc, env) if acc is not None else None
-            if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
-                raise ShapeError(f"dot shape mismatch {a.shape} x {b.shape}")
-            m, k = a.shape
-            n = b.shape[1]
-            eff = self.cost.tile_efficiency(m, n, k)
-            compute = 2.0 * m * n * k / (self.cost.per_sm_tensor_flops * eff)
-            data = None
+            if acc is not None:
+                w(d, f"_acc = {self.operand(acc, defined, rename)}")
+            w(d, "if len(_a.shape) != 2 or len(_b.shape) != 2 "
+                 "or _a.shape[1] != _b.shape[0]:")
+            w(d + 1, 'raise _ShapeError(f"dot shape mismatch {_a.shape} x {_b.shape}")')
+            w(d, "_mm, _kk = _a.shape")
+            w(d, "_nn = _b.shape[1]")
+            if costed:
+                w(d, "_C = 2.0 * _mm * _nn * _kk / "
+                     "(_pstf * _cost.tile_efficiency(_mm, _nn, _kk))")
+                cost = _Cost(compute="_C")
+            data, make = "None", "_tile"
             if numeric:
-                lhs = a.data.astype(np.float32)
-                rhs = b.data.astype(np.float32)
-                data = lhs @ rhs
-                if acc_val is not None and acc_val.data is not None:
-                    data = data + acc_val.data.astype(np.float32)
-            return TileVal((m, n), np.dtype(np.float32), data), \
-                CostRec(compute=compute), None
-
-        if op in ("exp", "log", "relu", "neg", "silu", "gelu"):
-            x = self._operand(s.args[0], env)
-            out = apply_unary(op, x) if numeric else \
-                TileVal.stub(x.shape, np.float32 if op in
-                             ("exp", "log", "silu", "gelu") else x.dtype)
-            compute = self.cost.vector_tile_time(
-                x.size, ELEMENTWISE_FLOPS[op], 0.0)
-            return out, CostRec(compute=compute), None
-
-        if op in ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile"):
-            a = self._operand(s.args[0], env)
-            b = self._operand(s.args[1], env)
+                w(d, "_dd = _a.data.astype(_F32) @ _b.data.astype(_F32)")
+                if acc is not None:
+                    w(d, "if _acc is not None and _acc.data is not None:")
+                    w(d + 1, "_dd = _dd + _acc.data.astype(_F32)")
+                    make = "_TileVal"  # the sum may broadcast: check it
+                data = "_dd"
+            w(d, f"_val = {make}((_mm, _nn), _F32, {data})")
+        elif op in _UNARY_TILE:
+            w(d, f"_x = {self.operand(a[0], defined, rename)}")
             if numeric:
-                out = apply_binary(op, a, b)
+                w(d, f"_val = _apply_unary({op!r}, _x)")
             else:
-                sa = a.shape if isinstance(a, TileVal) else ()
-                sb = b.shape if isinstance(b, TileVal) else ()
-                da = a.dtype if isinstance(a, TileVal) else np.dtype(np.float32)
-                db = b.dtype if isinstance(b, TileVal) else np.dtype(np.float32)
-                out = TileVal.stub(tuple(np.broadcast_shapes(sa, sb)),
-                                   np.result_type(da, db))
-            compute = self.cost.vector_tile_time(
-                out.size, ELEMENTWISE_FLOPS[op], 0.0)
-            return out, CostRec(compute=compute), None
+                dt = "_F32" if op in ("exp", "log", "silu", "gelu") else "_x.dtype"
+                w(d, f"_val = _tile(_x.shape, {dt}, None)")
+            cost = self.vector_cost("_x.size", ELEMENTWISE_FLOPS[op])
+        elif op in _BINARY_TILE:
+            w(d, f"_a = {self.operand(a[0], defined, rename)}")
+            w(d, f"_b = {self.operand(a[1], defined, rename)}")
+            fn = f"_apply_binary({op!r}, _a, _b)" if numeric else "_binary_stub(_a, _b)"
+            w(d, f"_val = {fn}")
+            cost = self.vector_cost("_val.size", ELEMENTWISE_FLOPS[op])
+        elif op == "cast":
+            w(d, f"_x = {self.operand(a[0], defined, rename)}")
+            dt = self.dtype_const(d, a[1])
+            if dt is None:
+                return None, cost, effect
+            data = (f"_x.data.astype({dt}) if _x.data is not None else None"
+                    if numeric else "None")
+            w(d, f"_val = _tile(_x.shape, {dt}, {data})")
+            cost = self.vector_cost("_x.size", 1.0)
+        elif op == "expand_dims":
+            w(d, f"_x = {self.operand(a[0], defined, rename)}")
+            data = ("_x.data.reshape((*_x.shape, 1)) if _x.data is not None "
+                    "else None" if numeric else "None")
+            w(d, f"_val = _tile((*_x.shape, 1), _x.dtype, {data})")
+        elif op in ("row_max", "row_sum"):
+            w(d, f"_x = {self.operand(a[0], defined, rename)}")
+            w(d, "if len(_x.shape) != 2:")
+            w(d + 1, f'raise _ShapeError(f"{op} expects a 2-d tile, got {{_x.shape}}")')
+            data = "None"
+            if numeric:
+                fn = "_np.max" if op == "row_max" else "_np.sum"
+                data = (f"{fn}(_x.data.astype(_F32), axis=1) "
+                        "if _x.data is not None else None")
+            w(d, f"_val = _tile((_x.shape[0],), _F32, {data})")
+            cost = self.vector_cost("_x.size", ELEMENTWISE_FLOPS[op])
+        else:
+            self.raise_(d, "_LoweringError", f"unknown tile op {op!r}")
+            return None, cost, effect
+        if not costed:
+            cost = _Cost()
+        return val, cost, effect
 
-        if op == "cast":
-            x = self._operand(s.args[0], env)
-            dtype = resolve_dtype(s.args[1])
-            data = x.data.astype(dtype) if (numeric and x.data is not None) else None
-            return TileVal(x.shape, dtype, data), \
-                CostRec(compute=self.cost.vector_tile_time(x.size, 1.0, 0.0)), None
+    def vector_cost(self, size: str, flops: float) -> _Cost:
+        # CostModel.vector_tile_time(n, flops, 0.0): max(compute, memory)
+        # with a memory term of exactly 0.0 for zero bytes per element
+        return _Cost(compute=f"max({size} * {flops!r} / _psvf, 0.0)")
 
-        if op == "expand_dims":
-            x = self._operand(s.args[0], env)
-            shape = (*x.shape, 1)
-            data = x.data.reshape(shape) if (numeric and x.data is not None) else None
-            return TileVal(shape, x.dtype, data), CostRec(), None
+    def dtype_const(self, d: int, spec: Any) -> str | None:
+        try:
+            return self.const(resolve_dtype(spec))
+        except ShapeError as exc:
+            self.raise_(d, "_ShapeError", str(exc))
+            return None
 
-        if op in ("row_max", "row_sum"):
-            x = self._operand(s.args[0], env)
-            if len(x.shape) != 2:
-                raise ShapeError(f"{op} expects a 2-d tile, got {x.shape}")
-            shape = (x.shape[0],)
-            data = None
-            if numeric and x.data is not None:
-                fn = np.max if op == "row_max" else np.sum
-                data = fn(x.data.astype(np.float32), axis=1)
-            compute = self.cost.vector_tile_time(x.size,
-                                                 ELEMENTWISE_FLOPS[op], 0.0)
-            return TileVal(shape, np.dtype(np.float32), data), \
-                CostRec(compute=compute), None
+    # ------------------------------------------------------------ statements
 
-        raise LoweringError(f"unknown tile op {op!r}")
+    def charge(self, d: int, cost: _Cost, category: str) -> None:
+        """Advance simulated time for a cost, as ``max(compute + load,
+        hbm arrival - t0)``, yielding only a positive duration."""
+        parts = [p for p in (cost.compute, cost.load) if p is not None]
+        if not parts and cost.hbm is None:
+            return
+        busy = " + ".join(parts) if parts else "0.0"
+        w = self.w
+        w(d, "_t0 = _sim.now")
+        if cost.hbm is not None:
+            w(d, f"_hb = {cost.hbm}")
+            w(d, f"_du = max({busy}, (_dev.reserve_hbm(_hb) if _hb > 0 "
+                 "else _t0) - _t0)")
+        else:
+            w(d, f"_du = {busy}")
+        w(d, "if _du > 0:")
+        w(d + 1, "yield _Timeout(_du)")
+        w(d + 1, "if _tr and _sim.now > _t0:")
+        w(d + 2, f"_m.record(_rank, {category!r}, _label, _t0, _sim.now)")
+
+    def trace(self, d: int, category: str) -> None:
+        self.w(d, "if _tr and _sim.now > _t0:")
+        self.w(d + 1, f"_m.record(_rank, {category!r}, _label, _t0, _sim.now)")
+
+    def assign(self, d: int, s: TileOp, val: str | None,
+               defined: set[str]) -> set[str]:
+        if s.target is None or val is None:
+            return defined
+        v = self.svar(s.target) if s.op == "load_scalar" else self.tvar(s.target)
+        self.w(d, f"{v} = {val}")
+        return defined | {v}
+
+    def body(self, stmts: list[Stmt], d: int, mode: str, defined: set[str],
+             acc: tuple[str, str, str] | None = None) -> set[str]:
+        """Emit a statement block; returns the names definitely assigned
+        after it."""
+        start = len(self.lines)
+        for s in stmts:
+            lineno = getattr(s, "lineno", None)
+            if lineno is not None:
+                self.w(d, f"# line {lineno}")
+            defined = self.stmt(s, d, mode, defined, acc)
+        if all(ln.lstrip().startswith("#") for ln in self.lines[start:]):
+            self.w(d, "pass")
+        return defined
+
+    def stmt(self, s: Stmt, d: int, mode: str, defined: set[str],
+             acc: tuple[str, str, str] | None) -> set[str]:
+        w = self.w
+        if isinstance(s, AssignScalar):
+            v = self.svar(s.target)
+            w(d, f"{v} = {self.x(s.value, defined)}")
+            return defined | {v}
+        if isinstance(s, TileOp):
+            if mode == _TIMED:
+                return self.timed_tile_op(s, d, defined)
+            val, cost, effect = self.tile_op(
+                d, s, numeric=mode == _REPLAY, costed=mode == _PROBE,
+                defined=defined)
+            if mode == _PROBE:
+                for total, part in zip(acc, (cost.compute, cost.load, cost.hbm)):
+                    if part is not None:
+                        w(d, f"{total} += {part}")
+            for line in effect:
+                w(d, line)
+            return self.assign(d, s, val, defined)
+        if isinstance(s, If):
+            w(d, f"if {self.x(s.cond, defined)}:")
+            then = self.body(s.then, d + 1, mode, defined, acc)
+            if s.orelse:
+                w(d, "else:")
+                orelse = self.body(s.orelse, d + 1, mode, defined, acc)
+            else:
+                orelse = defined
+            return then & orelse
+        if isinstance(s, For):
+            self.loop(s, d, mode, defined, acc)
+            return defined
+        if isinstance(s, Return):
+            w(d, "return")
+            return defined
+        if isinstance(s, Primitive) and mode == _TIMED:
+            return self.primitive(s, d, defined)
+        if mode == _PROBE and not isinstance(s, Primitive):
+            return defined  # the reference cost probe skips unknown statements
+        if mode == _TIMED:
+            self.raise_(d, "_LoweringError", f"unknown statement {type(s).__name__}")
+        else:
+            self.raise_(d, "_LoweringError", "primitive inside aggregable loop")
+        return defined
+
+    def timed_tile_op(self, s: TileOp, d: int, defined: set[str]) -> set[str]:
+        slot = self.slots.get(id(s))
+        if slot is not None:
+            # prefetched at iteration start: free at its use point
+            self.w(d, f"if {slot} is not None:")
+            if s.target is not None:
+                self.w(d + 1, f"{self.tvar(s.target)} = {slot}")
+            self.w(d + 1, f"{slot} = None")
+            self.w(d, "else:")
+            d += 1
+        val, cost, effect = self.tile_op(d, s, numeric=self.execute, costed=True,
+                                         defined=defined)
+        if val is not None and s.target is not None and s.op != "load_scalar":
+            # the tile is assigned before its cost is charged; nothing else
+            # can observe the block's locals while it is suspended
+            defined = self.assign(d, s, val, defined)
+            val = None
+        self.charge(d, cost, "compute")
+        for line in effect:
+            self.w(d, line)
+        return self.assign(d, s, val, defined)
+
+    # ----------------------------------------------------------------- loops
+
+    def loop_range(self, s: For, d: int,
+                   defined: set[str]) -> tuple[str, str | None]:
+        """Emit the loop's ``range`` (step 0 raises).
+
+        Returns its local and, when the bounds are constant, its trip count
+        as a literal.
+        """
+        it = self.fresh("_it")
+        bounds = [self.int_x(e, defined) for e in (s.start, s.stop, s.step)]
+        lo, hi, step = bounds
+        if _int_literal(step) is not None:
+            if _int_literal(step) == 0:
+                self.raise_(d, "_SimulationError", "loop step of 0")
+                return it, None
+            self.w(d, f"{it} = range({lo}, {hi}, {step})")
+            if all(_int_literal(b) is not None for b in bounds):
+                return it, str(len(range(*map(_int_literal, bounds))))
+            return it, None
+        self.w(d, f"_lo, _hi, _sp = {lo}, {hi}, {step}")
+        self.w(d, "if _sp == 0:")
+        self.raise_(d + 1, "_SimulationError", "loop step of 0")
+        self.w(d, f"{it} = range(_lo, _hi, _sp)")
+        return it, None
+
+    def loop(self, s: For, d: int, mode: str, defined: set[str],
+             acc: tuple[str, str, str] | None) -> None:
+        w = self.w
+        it, trips = self.loop_range(s, d, defined)
+        n = trips or f"len({it})"
+        v = self.svar(s.var)
+        inner = defined | {v}
+        if mode == _PROBE:
+            # price the first iteration, scaled by the trip count
+            w(d, f"if {it}:")
+            w(d + 1, f"{v} = {it}[0]")
+            sub = self.accumulators(d + 1)
+            self.body(s.body, d + 1, _PROBE, inner, sub)
+            pc, pl, ph = sub
+            per = f"max({pl}, {pc})" if s.pipelined else f"({pl} + {pc})"
+            w(d + 1, f"{acc[0]} += {n} * {per}")
+            w(d + 1, f"{acc[2]} += {n} * {ph}")
+            return
+        if mode == _REPLAY:
+            w(d, f"for {v} in {it}:")
+            self.body(s.body, d + 1, _REPLAY, inner)
+            return
+        if s.aggregable:
+            # a constant trip count picks the loop's one reachable path
+            if trips is not None and int(trips) > 1:
+                self.aggregated(s, it, n, d, inner)
+                return
+            if trips is None:
+                w(d, f"if {n} > 1:")
+                self.aggregated(s, it, n, d + 1, inner)
+                w(d, "else:")
+                d += 1
+        w(d, f"for {v} in {it}:")
+        if s.pipelined:
+            self.prefetch(s, d + 1, inner)
+        self.body(s.body, d + 1, _TIMED, inner)
+
+    def accumulators(self, d: int) -> tuple[str, str, str]:
+        names = (self.fresh("_pc"), self.fresh("_pl"), self.fresh("_ph"))
+        self.w(d, f"{names[0]} = {names[1]} = {names[2]} = 0.0")
+        return names
+
+    def aggregated(self, s: For, it: str, n: str, d: int,
+                   inner: set[str]) -> None:
+        """Analytic pricing of a primitive-free loop of ``n`` > 1 trips
+        (+ numeric replay)."""
+        w = self.w
+        w(d, f"{self.svar(s.var)} = {it}[0]")
+        pc, pl, ph = self.accumulators(d)
+        after = self.body(s.body, d, _PROBE, inner, (pc, pl, ph))
+        per = f"max({pl}, {pc})" if s.pipelined else f"{pl} + {pc}"
+        w(d, f"_tot = _mma + {n} * ({per})")
+        w(d, f"_hb = {n} * {ph} * {AGG_DRAM_DISCOUNT!r}")
+        w(d, "_t0 = _sim.now")
+        w(d, "yield _Timeout(max(_tot, (_dev.reserve_hbm(_hb) if _hb > 0 "
+             "else _t0) - _t0))")
+        self.trace(d, "compute")
+        if self.execute:
+            w(d, f"for {self.svar(s.var)} in {it}:")
+            self.body(s.body, d + 1, _REPLAY, after)
+
+    def prefetch(self, s: For, d: int, defined: set[str]) -> None:
+        """Hoist the loop's prefetchable loads to iteration start.
+
+        Address scalars are recomputed into temporaries from the body's
+        top-level scalar statements; a statement that cannot be evaluated
+        yet ends the prefetch (later loads run in place).  Values are
+        snapshotted now, before any wait of the body: safe only for loads
+        the consistency pass left unpinned.
+        """
+        loads = [i for i, t in enumerate(s.body)
+                 if isinstance(t, TileOp) and t.prefetchable
+                 and t.op in ("load", "load_vec")]
+        if not loads:
+            return
+        self.w(d, "for _ in _ONCE:")
+        rename: dict[str, str] = {}
+        for t in s.body[:loads[-1] + 1]:
+            if isinstance(t, AssignScalar):
+                tmp = self.fresh("_q")
+                self.w(d + 1, "try:")
+                self.w(d + 2, f"{tmp} = {self.x(t.value, defined, rename)}")
+                self.w(d + 1, "except _LoweringError:")
+                self.w(d + 2, "break")
+                rename[t.target] = tmp
+            elif isinstance(t, TileOp) and t.prefetchable and t.op in ("load", "load_vec"):
+                slot = self.slots.setdefault(id(t), self.fresh("_pf"))
+                self.w(d + 1, "try:")
+                self.tile_op(d + 2, t, numeric=self.execute, costed=False,
+                             defined=defined, rename=rename)
+                self.w(d + 2, f"{slot} = _val")
+                self.w(d + 1, "except (_LoweringError, _ShapeError):")
+                self.w(d + 2, "pass")
 
     # ------------------------------------------------------------ primitives
 
-    def exec_primitive(self, s: Primitive, env: dict[str, Any] | None):
-        """Generator executing one TileLink primitive."""
-        ch = self.require_channel()
+    def primitive(self, s: Primitive, d: int, defined: set[str]) -> set[str]:
+        w = self.w
         name = s.name
+        if self.ir.channel_param is None:
+            self.raise_(d, "_LoweringError", self._no_channel_msg())
+            return defined
+        args, kw = s.args, s.kwargs
+        ix = functools.partial(self.int_x, defined=defined)
+
+        if name == "tile_pull_data":
+            w(d, "_t0 = _sim.now")
+            ref = args[0]
+            if not isinstance(ref, TensorRef):
+                self.raise_(d, "_LoweringError", "tile_pull_data needs a tensor argument")
+                return defined
+            tn = ix(args[2]) if len(args) > 2 else "0"
+            w(d, f"_val, _dl = _pull(_ch, _bindings, {ref.name!r}, {ix(args[1])}, "
+                 f"{tn}, _m, _rank, {self.execute})")
+            w(d, "if _dl > 0:")
+            w(d + 1, "yield _Timeout(_dl)")
+            self.trace(d, "comm")
+            if s.target is None:
+                return defined
+            w(d, f"{self.tvar(s.target)} = _val")
+            return defined | {self.tvar(s.target)}
 
         if name == "producer_tile_notify":
-            tid = int(self.eval(s.args[0], env))
-            mode = s.args[1] if len(s.args) > 1 else s.kwargs.get("mode", "p2p")
-            if ch.notify_counts is not None and mode == "broadcast":
+            w(d, f"_tid = {ix(args[0])}")
+            mode = args[1] if len(args) > 1 else kw.get("mode", "p2p")
+            if mode == "broadcast":
                 # dynamic fan-out: one tile feeds several local channels
-                for channel_idx, amount in enumerate(ch.notify_counts[tid]):
-                    if amount > 0:
-                        ch.barriers.post_add(int(channel_idx), int(amount),
-                                             from_rank=self.rank)
-                return
-            channel_idx = ch.producer_channel(tid)
-            if mode == "p2p":
-                target = s.kwargs.get("to")
+                w(d, "if _ch.notify_counts is not None:")
+                w(d + 1, "for _ci, _amt in enumerate(_ch.notify_counts[_tid]):")
+                w(d + 2, "if _amt > 0:")
+                w(d + 3, "_ch.barriers.post_add(int(_ci), int(_amt), from_rank=_rank)")
+                w(d, "else:")
+                w(d + 1, "_cix = _ch.producer_channel(_tid)")
+                w(d + 1, "for _dst in range(_ch.num_ranks):")
+                w(d + 2, "_ch.all_barriers[_dst].post_add(_cix, 1, from_rank=_rank)")
+            elif mode == "p2p":
+                w(d, "_cix = _ch.producer_channel(_tid)")
+                target = kw.get("to")
                 if target is not None:
-                    dst = int(self.eval(target, env))
-                elif getattr(ch, "notify_target", "local") == "mapped":
-                    dst = ch.producer_rank(tid)
+                    w(d, f"_dst = {ix(target)}")
                 else:
-                    dst = self.rank
-                ch.all_barriers[dst].post_add(channel_idx, 1, from_rank=self.rank)
-            elif mode == "broadcast":
-                for dst in range(ch.num_ranks):
-                    ch.all_barriers[dst].post_add(channel_idx, 1,
-                                                  from_rank=self.rank)
+                    w(d, '_dst = (_ch.producer_rank(_tid) if getattr(_ch, '
+                         '"notify_target", "local") == "mapped" else _rank)')
+                w(d, "_ch.all_barriers[_dst].post_add(_cix, 1, from_rank=_rank)")
             else:
-                raise LoweringError(f"unknown notify mode {mode!r}")
-            return
+                w(d, "_ch.producer_channel(_tid)")
+                self.raise_(d, "_LoweringError", f"unknown notify mode {mode!r}")
+            return defined
 
         if name == "consumer_tile_wait":
-            tid = int(self.eval(s.args[0], env))
-            t0 = self.machine.now
-            for channel_idx, threshold in ch.consumer_wait_list(tid):
-                yield ch.barriers.wait_geq(channel_idx, threshold)
-            self._trace("sync", t0, self.machine.now)
-            return
+            w(d, f"_tid = {ix(args[0])}")
+            w(d, "_t0 = _sim.now")
+            w(d, "for _ci, _th in _ch.consumer_wait_list(_tid):")
+            w(d + 1, "yield _ch.barriers.wait_geq(_ci, _th)")
+            self.trace(d, "sync")
+            return defined
 
-        if name == "peer_tile_notify":
-            cell = int(self.eval(s.args[0], env))
-            dst = int(self.eval(s.args[1], env))
-            if not ch.all_peer_barriers:
-                raise LoweringError("BlockChannel has no peer barriers")
-            ch.all_peer_barriers[dst].post_add(cell, 1, from_rank=self.rank)
-            return
-
-        if name == "peer_tile_wait":
-            cell = int(self.eval(s.args[0], env))
-            rank = int(self.eval(s.args[1], env))
-            count = int(self.eval(s.kwargs["count"], env)) \
-                if "count" in s.kwargs else 1
-            if not ch.all_peer_barriers:
-                raise LoweringError("BlockChannel has no peer barriers")
-            t0 = self.machine.now
-            yield ch.all_peer_barriers[rank].wait_geq(cell, count)
-            self._trace("sync", t0, self.machine.now)
-            return
+        if name in ("peer_tile_notify", "peer_tile_wait"):
+            w(d, f"_cell = {ix(args[0])}")
+            w(d, f"_pr = {ix(args[1])}")
+            if name == "peer_tile_wait":
+                w(d, f"_cnt = {ix(kw['count']) if 'count' in kw else '1'}")
+            w(d, "if not _ch.all_peer_barriers:")
+            self.raise_(d + 1, "_LoweringError", "BlockChannel has no peer barriers")
+            if name == "peer_tile_notify":
+                w(d, "_ch.all_peer_barriers[_pr].post_add(_cell, 1, from_rank=_rank)")
+                return defined
+            w(d, "_t0 = _sim.now")
+            w(d, "yield _ch.all_peer_barriers[_pr].wait_geq(_cell, _cnt)")
+            self.trace(d, "sync")
+            return defined
 
         if name == "tile_push_data":
-            ref = s.args[0]
+            ref = args[0]
             if not isinstance(ref, TensorRef):
-                raise LoweringError("tile_push_data needs a tensor argument")
-            tid_m = int(self.eval(s.args[1], env))
-            tid_n = int(self.eval(s.args[2], env))
-            val = self._operand(s.args[3], env)
-            if ch.comm_grid is None:
-                raise LoweringError("tile_push_data needs a comm grid")
-            dst_tensor, dst_rank = self.resolve_tensor(ref, env)
-            ranges = ch.comm_grid.ranges(ch.comm_grid.tile_id(tid_m, tid_n))
-            t0 = self.machine.now
-            if dst_rank == self.rank:
-                rec = CostRec(load=val.nbytes / self.cost.spec.smem_bandwidth_per_sm,
-                              hbm_bytes=val.nbytes)
-                yield from self._charge(rec, category="comm")
-                if self.execute:
-                    dst_tensor.write_tile(ranges, val.data)
-            else:
-                _st, arrival = self.machine.interconnect.reserve(
-                    self.rank, dst_rank, val.nbytes, "p2p")
-                delay = max(0.0, arrival - self.machine.now)
-                if self.execute:
-                    data = val.data
+                self.raise_(d, "_LoweringError", "tile_push_data needs a tensor argument")
+                return defined
+            w(d, f"_tm = {ix(args[1])}")
+            w(d, f"_tn = {ix(args[2])}")
+            w(d, f"_v = {self.operand(args[3], defined)}")
+            w(d, "if _ch.comm_grid is None:")
+            self.raise_(d + 1, "_LoweringError", "tile_push_data needs a comm grid")
+            self.tensor(d, ref, defined)
+            w(d, "_rg = _ch.comm_grid.ranges(_ch.comm_grid.tile_id(_tm, _tn))")
+            w(d, "if _o == _rank:")
+            self.charge(d + 1, _Cost(load="_v.nbytes / _feed", hbm="_v.nbytes"), "comm")
+            if self.execute:
+                w(d + 1, "_T.write_tile(_rg, _v.data)")
+            w(d, "else:")
+            w(d + 1, "_t0 = _sim.now")
+            w(d + 1, '_st, _ar = _ic.reserve(_rank, _o, _v.nbytes, "p2p")')
+            w(d + 1, "_dl = max(0.0, _ar - _sim.now)")
+            if self.execute:
+                w(d + 1, "_sim.call_later(_dl, _partial(_T.write_tile, _rg, _v.data))")
+            w(d + 1, "if _dl > 0:")
+            w(d + 2, "yield _Timeout(_dl)")
+            self.trace(d + 1, "comm")
+            return defined
 
-                    def apply(t=dst_tensor, r=ranges, d=data):
-                        t.write_tile(r, d)
-                    self.machine.sim.call_later(delay, apply)
-                if delay > 0:
-                    yield Timeout(delay)
-                self._trace("comm", t0, self.machine.now)
-            return
+        self.raise_(d, "_LoweringError", f"unsupported primitive {name!r}")
+        return defined
 
-        raise LoweringError(f"unsupported primitive {name!r}")
+    # ------------------------------------------------------------------- top
 
-    def eval_pull(self, s: Primitive, env: dict[str, Any] | None
-                  ) -> tuple[TileVal, float]:
-        """tile_pull_data: returns (value, arrival_delay).
+    def build(self) -> BlockFn:
+        src = self.source()
+        program, mode = self.program, "numeric" if self.execute else "timing"
+        # one file name per program: specializations of a kernel differ
+        filename = str(Path(__file__).with_name(
+            f"<lowered {program.name} {mode} #{next(_PROGRAM_IDS)}>"))
+        # tracebacks regenerate the source on demand instead of keeping it
+        ref = weakref.ref(program)
+        execute = self.execute
 
-        The payload is snapshotted at issue time on the source rank —
-        matching NVSHMEM get semantics.
-        """
-        ch = self.require_channel()
-        ref = s.args[0]
-        if not isinstance(ref, TensorRef):
-            raise LoweringError("tile_pull_data needs a tensor argument")
-        tid_m = int(self.eval(s.args[1], env))
-        tid_n = int(self.eval(s.args[2], env)) if len(s.args) > 2 else 0
-        if ch.comm_grid is None:
-            raise LoweringError("tile_pull_data needs a comm grid")
-        mapping = ch.require_mapping()
-        src_rank = mapping.rank_of(tid_m)
-        (r0, r1), (c0, c1) = ch.comm_grid.ranges(
-            ch.comm_grid.tile_id(tid_m, tid_n))
-        bound = self.bindings.get(ref.name)
-        if not isinstance(bound, list):
-            raise LoweringError("tile_pull_data source must be symmetric")
-        src = bound[src_rank]
-        per_rank = mapping.per_rank if hasattr(mapping, "per_rank") else \
-            src.shape[0]
-        lo_local = r0 - src_rank * per_rank
-        hi_local = r1 - src_rank * per_rank
-        if lo_local < 0 or hi_local > src.shape[0]:
-            raise LoweringError(
-                f"tile_pull_data tile {tid_m} rows [{r0},{r1}) fall outside "
-                f"rank {src_rank}'s shard")
-        shape = (r1 - r0, c1 - c0)
-        nbytes = int(np.prod(shape)) * src.itemsize
-        data = None
-        if self.execute:
-            data = padded_to(src.read_tile(((lo_local, hi_local), (c0, c1))),
-                             shape, src.dtype)
-        if src_rank == self.rank:
-            delay = nbytes / self.cost.spec.smem_bandwidth_per_sm
-        else:
-            _st, arrival = self.machine.interconnect.reserve(
-                src_rank, self.rank, nbytes, "p2p")
-            delay = max(0.0, arrival - self.machine.now)
-        return TileVal(shape, src.dtype, data), delay
+        def lines() -> str | None:
+            prog = ref()
+            return None if prog is None else _Lowering(prog, execute).source()
+        linecache.cache[filename] = (lines,)
+        weakref.finalize(program, linecache.cache.pop, filename, None)
+        exec(compile(src, filename, "exec"), self.ns)
+        return self.ns["_block"]
 
-    # -------------------------------------------------------------- statements
-
-    def exec_body(self, body: list[Stmt], env: dict[str, Any] | None = None):
-        for s in body:
-            yield from self.exec_stmt(s, env)
-
-    def exec_stmt(self, s: Stmt, env: dict[str, Any] | None = None):
-        if isinstance(s, AssignScalar):
-            self.scalars[s.target] = self.eval(s.value, env)
-            return
-        if isinstance(s, TileOp):
-            # prefetched value available? (pipelined loop hoisting)
-            cached = self.tiles.pop(f"$prefetch:{id(s)}", None)
-            if cached is not None:
-                if s.target is not None:
-                    self.tiles[s.target] = cached
-                return
-            val, rec, effect = self.eval_tile_op(s, env)
-            category = "compute"
-            yield from self._charge(rec, category=category)
-            if effect is not None:
-                effect()
-            if s.target is not None:
-                if s.op == "load_scalar":
-                    self.scalars[s.target] = val
-                else:
-                    assert val is not None
-                    self.tiles[s.target] = val
-            return
-        if isinstance(s, Primitive):
-            if s.name == "tile_pull_data":
-                t0 = self.machine.now
-                val, delay = self.eval_pull(s, env)
-                if delay > 0:
-                    yield Timeout(delay)
-                self._trace("comm", t0, self.machine.now)
-                if s.target is not None:
-                    self.tiles[s.target] = val
-                return
-            yield from self.exec_primitive(s, env)
-            return
-        if isinstance(s, If):
-            branch = s.then if self.eval(s.cond, env) else s.orelse
-            yield from self.exec_body(branch, env)
-            return
-        if isinstance(s, For):
-            yield from self.exec_for(s, env)
-            return
-        if isinstance(s, Return):
-            raise _ReturnSignal()
-        raise LoweringError(f"unknown statement {type(s).__name__}")
-
-    # ------------------------------------------------------------------- loops
-
-    def _loop_range(self, s: For, env: dict[str, Any] | None) -> range:
-        """The loop variable's values, with Python ``range`` semantics for
-        either step sign; ``len()`` of the result is the trip count every
-        walker (timed, cost probe, numeric replay) agrees on."""
-        start = int(self.eval(s.start, env))
-        stop = int(self.eval(s.stop, env))
-        step = int(self.eval(s.step, env))
-        if step == 0:
-            raise SimulationError("loop step of 0")
-        return range(start, stop, step)
-
-    def exec_for(self, s: For, env: dict[str, Any] | None):
-        iters = self._loop_range(s, env)
-        if not iters:
-            return
-        if s.aggregable and len(iters) > 1:
-            yield from self._exec_aggregable(s, iters, env)
-            return
-        # ordinary (or single-trip) loop: step iterations
-        for value in iters:
-            self.scalars[s.var] = value
-            if s.pipelined:
-                self._prefetch(s, env)
-            yield from self.exec_body(s.body, env)
-
-    def _exec_aggregable(self, s: For, iters: range,
-                         env: dict[str, Any] | None):
-        """Analytic pricing of a primitive-free loop (+ full numeric effects)."""
-        # cost probe on the first iteration
-        trips = len(iters)
-        self.scalars[s.var] = iters[0]
-        probe = CostRec()
-        self._probe_body(s.body, env, probe)
-        if s.pipelined:
-            per_iter = max(probe.load, probe.compute)
-        else:
-            per_iter = probe.load + probe.compute
-        total = self.cost.MMA_PROLOGUE + trips * per_iter
-        hbm = trips * probe.hbm_bytes * self.AGG_DRAM_DISCOUNT
-        t0 = self.machine.now
-        arrival = self.device.reserve_hbm(hbm) if hbm > 0 else t0
-        dur = max(total, arrival - t0)
-        yield Timeout(dur)
-        self._trace("compute", t0, self.machine.now)
-        if self.execute:
-            for value in iters:
-                self.scalars[s.var] = value
-                self._exec_numeric_body(s.body, env)
-
-    def _probe_body(self, body: list[Stmt], env: dict[str, Any] | None,
-                    acc: CostRec) -> None:
-        """Accumulate one iteration's cost without effects or yields."""
-        for s in body:
-            if isinstance(s, AssignScalar):
-                self.scalars[s.target] = self.eval(s.value, env)
-            elif isinstance(s, TileOp):
-                val, rec, _ = self.eval_tile_op(s, env, snapshot=False)
-                acc.add(rec)
-                if s.target is not None:
-                    if s.op == "load_scalar":
-                        self.scalars[s.target] = val
-                    elif val is not None:
-                        self.tiles[s.target] = val
-            elif isinstance(s, If):
-                branch = s.then if self.eval(s.cond, env) else s.orelse
-                self._probe_body(branch, env, acc)
-            elif isinstance(s, For):
-                iters = self._loop_range(s, env)
-                if not iters:
-                    continue
-                self.scalars[s.var] = iters[0]
-                inner = CostRec()
-                self._probe_body(s.body, env, inner)
-                factor = len(iters)
-                if s.pipelined:
-                    acc.compute += factor * max(inner.load, inner.compute)
-                else:
-                    acc.compute += factor * (inner.load + inner.compute)
-                acc.hbm_bytes += factor * inner.hbm_bytes
-            elif isinstance(s, Return):
-                raise _ReturnSignal()
-            elif isinstance(s, Primitive):
-                raise LoweringError("primitive inside aggregable loop")
-
-    def _exec_numeric_body(self, body: list[Stmt],
-                           env: dict[str, Any] | None) -> None:
-        """Apply one iteration's numpy effects (no time advanced)."""
-        for s in body:
-            if isinstance(s, AssignScalar):
-                self.scalars[s.target] = self.eval(s.value, env)
-            elif isinstance(s, TileOp):
-                val, _rec, effect = self.eval_tile_op(s, env)
-                if effect is not None:
-                    effect()
-                if s.target is not None:
-                    if s.op == "load_scalar":
-                        self.scalars[s.target] = val
-                    elif val is not None:
-                        self.tiles[s.target] = val
-            elif isinstance(s, If):
-                branch = s.then if self.eval(s.cond, env) else s.orelse
-                self._exec_numeric_body(branch, env)
-            elif isinstance(s, For):
-                for value in self._loop_range(s, env):
-                    self.scalars[s.var] = value
-                    self._exec_numeric_body(s.body, env)
-            elif isinstance(s, Return):
-                raise _ReturnSignal()
-            else:
-                raise LoweringError("primitive inside aggregable loop")
-
-    def _prefetch(self, s: For, env: dict[str, Any] | None) -> None:
-        """Hoist prefetchable loads to iteration start (pipeliner model).
-
-        Scalar statements are replayed to materialize addresses; values are
-        snapshotted *now*, i.e. potentially before the body's waits run —
-        which is safe only for loads the consistency pass left unpinned.
-        The prefetched value costs nothing at its use point (it overlapped
-        with the previous iteration).
-        """
-        saved: dict[str, Any] = {}
-        replayed: list[str] = []
-        for t in s.body:
-            if isinstance(t, AssignScalar):
-                if t.target in self.scalars and t.target not in saved:
-                    saved[t.target] = self.scalars[t.target]
-                replayed.append(t.target)
-                try:
-                    self.scalars[t.target] = self.eval(t.value, env)
-                except LoweringError:
-                    break  # address depends on a tile/wait result; stop
-            elif isinstance(t, TileOp) and t.prefetchable and t.op in (
-                    "load", "load_vec"):
-                try:
-                    val, _rec, _eff = self.eval_tile_op(t, env)
-                except (LoweringError, ShapeError):
-                    continue
-                self.tiles[f"$prefetch:{id(t)}"] = val
-        for name in replayed:
-            if name in saved:
-                self.scalars[name] = saved[name]
-            else:
-                self.scalars.pop(name, None)
-
-    # --------------------------------------------------------------------- top
-
-    def run(self):
-        """The block's simulation process."""
-        try:
-            yield from self.exec_body(self.program.ir.body)
-        except _ReturnSignal:
-            pass
-        return None
-
-
-def run_block(program: CompiledProgram, machine: Machine, rank: int,
-              block_id: int, n_blocks: int, bindings: dict[str, Any],
-              label: str = ""):
-    """Build the simulation-process generator for one block."""
-    interp = BlockInterp(program, machine, rank, block_id, n_blocks,
-                         bindings, label=label)
-    return interp.run()
+    def source(self) -> str:
+        ir, program = self.ir, self.program
+        defined = {self.svar("$bid"), self.svar("$nblocks")}
+        defined |= {self.svar(p) for p in self.constexpr_locals}
+        mode = "numeric" if self.execute else "timing"
+        self.body(ir.body, 1, _TIMED, defined)
+        body, self.lines = self.lines, []
+        w = self.w
+        w(0, f"# {program.name} lowered for {mode} mode")
+        w(0, "def _block(_m, _rank, _bid, _nblocks, _bindings, _label):")
+        w(1, "_sim = _m.sim")
+        w(1, "_dev = _m.device(_rank)")
+        w(1, "_cost = _m.cost")
+        w(1, "_ic = _m.interconnect")
+        w(1, "_tr = _m.config.trace")
+        w(1, "_feed = _cost.spec.smem_bandwidth_per_sm")
+        w(1, "_pstf = _cost.per_sm_tensor_flops")
+        w(1, "_psvf = _cost.per_sm_vector_flops")
+        w(1, "_mma = _cost.MMA_PROLOGUE")
+        kn = self.const(program.name)
+        if ir.channel_param is not None:
+            w(1, f"_ch = _channel(_bindings, {ir.channel_param!r}, {kn})")
+        w(1, f"{self.svar('$bid')} = _bid")
+        w(1, f"{self.svar('$nblocks')} = _nblocks")
+        for p in self.constexpr_locals:
+            w(1, f"{self.svar(p)} = {self.const(program.constexprs[p])}")
+        for p in program.tensor_params:
+            w(1, f"if {p!r} not in _bindings:")
+            self.raise_(2, "_RuntimeLaunchError",
+                        f"kernel {program.name!r} missing argument {p!r}")
+            v = self.svar(p)
+            if v in self.unset:
+                w(1, f"{v} = _scalar_binding(_bindings[{p!r}])")
+        for ref_name, h in self.hoisted.items():
+            w(1, f"{h} = _local_binding(_bindings.get({ref_name!r}), "
+                 f"{ref_name!r}, _rank)")
+        params = {self.svar(p) for p in program.tensor_params}
+        for v in sorted(self.unset - defined - params):
+            w(1, f"{v} = _U")
+        for slot in self.slots.values():
+            w(1, f"{slot} = None")
+        self.lines.extend(body)
+        w(1, "return")
+        w(1, "yield  # the block is a generator even without timed work")
+        return "\n".join(self.lines) + "\n"

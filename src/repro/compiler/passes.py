@@ -1,6 +1,6 @@
 """Compiler passes over the tile IR.
 
-Three passes run between the frontend and the backend interpreter:
+Three passes run between the frontend and the backend lowering:
 
 1. :func:`annotate_loops` — marks loops *aggregable* when their bodies
    contain no primitives or nested control flow with primitives.  The
@@ -29,12 +29,16 @@ from __future__ import annotations
 
 from repro.errors import ConsistencyError
 from repro.lang.ir import (
+    AssignScalar,
+    Expr,
     For,
     If,
     KernelIR,
     Primitive,
     Stmt,
+    TensorRef,
     TileOp,
+    expr_refs,
     walk_block,
 )
 
@@ -63,8 +67,6 @@ def annotate_loops(ir: KernelIR) -> None:
         return True
 
     def _is_remote(op: TileOp) -> bool:
-        from repro.lang.ir import TensorRef
-
         return any(
             isinstance(a, TensorRef) and a.rank is not None
             for a in (*op.args, *op.kwargs.values())
@@ -101,15 +103,56 @@ def pipeline_loops(ir: KernelIR, num_stages: int = 3) -> None:
                     s.pipelined = True
                     # only top-level loads participate in cross-iteration
                     # prefetch; nested ones are handled by their own loop
-                    for t in s.body:
-                        if isinstance(t, TileOp) and t.op in LOAD_OPS:
-                            t.prefetchable = True
+                    _mark_prefetchable(s.body)
                 visit(s.body)
             elif isinstance(s, If):
                 visit(s.then)
                 visit(s.orelse)
 
     visit(ir.body)
+
+
+def _mark_prefetchable(body: list[Stmt]) -> None:
+    """Flag the top-level loads of a pipelined loop body for prefetch.
+
+    The backend recomputes a prefetched load's address at iteration start
+    from the body's top-level scalar assignments only.  A scalar written
+    any other way earlier in the body (a ``tl.load_scalar`` result, or an
+    assignment nested in an ``If`` or inner loop) still holds the previous
+    iteration's value at that point, so a load whose range or rank depends
+    on one, directly or through assignments, stays in place.
+    """
+    stale: set[str] = set()
+    for t in body:
+        if isinstance(t, AssignScalar):
+            if expr_refs(t.value) & stale:
+                stale.add(t.target)
+            else:
+                stale.discard(t.target)
+        elif isinstance(t, TileOp):
+            if t.op in LOAD_OPS:
+                t.prefetchable = not (_arg_refs(t.args) & stale)
+            elif t.op == "load_scalar" and t.target is not None:
+                stale.add(t.target)
+        else:
+            for n in walk_block([t]):
+                if isinstance(n, AssignScalar):
+                    stale.add(n.target)
+                elif isinstance(n, For):
+                    stale.add(n.var)
+                elif isinstance(n, TileOp) and n.op == "load_scalar" and n.target:
+                    stale.add(n.target)
+
+
+def _arg_refs(arg: object) -> set[str]:
+    """Scalar names a tile-op argument (ranges, tensor rank) reads."""
+    if isinstance(arg, Expr):
+        return expr_refs(arg)
+    if isinstance(arg, TensorRef):
+        return expr_refs(arg.rank) if arg.rank is not None else set()
+    if isinstance(arg, tuple):
+        return set().union(*map(_arg_refs, arg))
+    return set()
 
 
 def enforce_consistency(ir: KernelIR) -> None:

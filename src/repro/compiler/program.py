@@ -7,7 +7,7 @@ Specializations are cached per (constexpr binding, options) on the
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import CompileError
@@ -55,6 +55,10 @@ class CompiledProgram:
     ir: KernelIR
     constexprs: dict[str, Any]
     options: CompileOptions
+    #: block functions generated by ``repro.compiler.interp.lower``, keyed
+    #: by numerics mode (filled at first launch)
+    lowered: dict[bool, Any] = field(default_factory=dict, repr=False,
+                                     compare=False)
 
     @property
     def tensor_params(self) -> list[str]:

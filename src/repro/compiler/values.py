@@ -1,9 +1,10 @@
-"""Runtime tile values for the backend interpreter.
+"""Runtime tile values for the lowered backend.
 
 A :class:`TileVal` carries shape/dtype always and data only in numeric
 mode, so the same instruction stream runs in both modes.  Elementwise
 helpers implement the numpy semantics of each ``tl`` op once, shared by the
-interpreter and (indirectly, through tests) by the reference kernels.
+generated block code and (indirectly, through tests) by the reference
+kernels.
 """
 
 from __future__ import annotations
@@ -48,6 +49,24 @@ class TileVal:
     @classmethod
     def stub(cls, shape: tuple[int, ...], dtype) -> "TileVal":
         return cls(shape, np.dtype(dtype), None)
+
+
+_new = object.__new__
+
+
+def tile_of(shape: tuple[int, ...], dtype: np.dtype,
+            data: np.ndarray | None) -> TileVal:
+    """A :class:`TileVal` built without ``__init__``'s conversions.
+
+    ``shape`` must already be a tuple of Python ints, ``dtype`` a
+    ``np.dtype`` and ``data`` None or an array of exactly that shape; the
+    lowered backend guarantees all three on its hot path.
+    """
+    t = _new(TileVal)
+    t.shape = shape
+    t.dtype = dtype
+    t.data = data
+    return t
 
 
 def padded_to(arr: np.ndarray | None, shape: tuple[int, ...],

@@ -4,7 +4,7 @@
 kernel needs: process rank, world size, barrier configuration,
 producer/consumer block relationships and the tile-centric mapping used to
 resolve primitives.  The backend "decomposes" it during compilation /
-interpretation: scalar fields feed ``channel.<field>`` reads, mappings feed
+lowering: scalar fields feed ``channel.<field>`` reads, mappings feed
 primitive lowering, and the signal banks are the physical barriers.
 """
 

@@ -1,7 +1,8 @@
 """Structured tile IR.
 
 The frontend compiles a kernel's Python AST into this IR; compiler passes
-annotate it; the backend interprets it per block on the simulated device.
+annotate it; the backend lowers it to Python that runs per block on the
+simulated device.
 
 Two value categories exist at run time:
 

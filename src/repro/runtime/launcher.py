@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.compiler.interp import run_block
+from repro.compiler.interp import lower
 from repro.compiler.program import CompiledProgram, CompileOptions, compile_kernel
 from repro.errors import RuntimeLaunchError
 from repro.lang.block_channel import BlockChannel
@@ -54,12 +54,13 @@ def kernel_process(program: CompiledProgram, machine: Machine, rank: int,
         raise RuntimeLaunchError(f"grid must be >= 1, got {grid}")
     device = machine.device(rank)
     label = label or program.name
+    # generated once per program and numerics mode, at its first launch
+    run = lower(program, machine.config.execute_numerics)
 
     def block(bid: int) -> ProcessGen:
         yield device.sms.acquire()
         try:
-            yield from run_block(program, machine, rank, bid, grid,
-                                 bindings, label=label)
+            yield from run(machine, rank, bid, grid, bindings, label)
         finally:
             device.sms.release()
         return None

@@ -25,6 +25,8 @@ from repro.errors import DeadlockError, SimulationError
 #: Type of the generators the engine runs.
 ProcessGen = Generator["Awaitable", Any, Any]
 
+_INF = float("inf")
+
 
 class Awaitable:
     """Base class for everything a process can ``yield``."""
@@ -39,8 +41,9 @@ class Timeout(Awaitable):
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not 0 <= delay < _INF:  # also rejects NaN
+            raise SimulationError(
+                f"timeout must be finite and non-negative: {delay}")
         self.delay = delay
         self.value = value
 
@@ -175,8 +178,9 @@ class Simulator:
 
     def schedule(self, delay: float, proc: Process, value: Any = None) -> None:
         """Resume ``proc`` with ``value`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not 0 <= delay < _INF:  # also rejects NaN
+            raise SimulationError(
+                f"delay must be finite and non-negative (delay={delay})")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, proc, value))
 
@@ -187,8 +191,9 @@ class Simulator:
         signal increments (release semantics — the SM does not wait for the
         remote atomic to land) and data-arrival application in numeric mode.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not 0 <= delay < _INF:  # also rejects NaN
+            raise SimulationError(
+                f"delay must be finite and non-negative (delay={delay})")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, None, fn))
 

@@ -29,6 +29,43 @@ def test_negative_timeout_rejected():
         Timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_timeout_rejected(delay):
+    with pytest.raises(SimulationError, match="finite"):
+        Timeout(delay)
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1e-9])
+def test_schedule_and_call_later_reject_bad_delays(delay):
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+
+    p = sim.spawn(proc())
+    with pytest.raises(SimulationError, match="finite"):
+        sim.schedule(delay, p)
+    with pytest.raises(SimulationError, match="finite"):
+        sim.call_later(delay, lambda: None)
+    # nothing was queued: the clock ends at the finite timeout
+    assert sim.run() == 1.0
+
+
+def test_nan_delay_cannot_poison_the_clock():
+    """A NaN timeout used to be accepted: the clock became NaN, run()
+    returned NaN and the time-went-backwards guard could never fire."""
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(float("nan"))
+        yield Timeout(1.0)
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="finite"):
+        sim.run()
+    assert sim.now == 0.0
+
+
 def test_fifo_ordering_at_equal_times():
     sim = Simulator()
     order = []

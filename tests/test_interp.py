@@ -248,3 +248,23 @@ def test_negative_step_inner_loop_is_priced_like_positive_step(rng):
     assert t_down == t_up
     assert np.array_equal(out_down, out_up)
     assert np.allclose(out_up, 2 * T * (a @ a), rtol=1e-4, atol=1e-3)
+
+
+@kernel
+def _gather_by_table(table, src, out, N: tl.constexpr, B: tl.constexpr):
+    for i in range(0, N):
+        r = tl.load_scalar(table[0], i)
+        x = tl.load(src, (r * B, r * B + B), (0, B))
+        tl.store(out, (i * B, i * B + B), (0, B), x)
+
+
+def test_load_after_load_scalar_reads_this_iterations_address():
+    """Regression: the pipelined loop used to prefetch ``x`` with the
+    previous iteration's ``r`` (rows read [12 14 12 14 0 2 8 10])."""
+    N, B = 4, 2
+    src = np.arange(N * B * B, dtype=np.float32).reshape(N * B, B)
+    ctx, _ = run1(_gather_by_table, 1, {
+        "table": np.array([3, 0, 2, 1], dtype=np.int64), "src": src,
+        "out": np.zeros((N * B, B), np.float32), "N": N, "B": B})
+    got = ctx.heap.tensor("out", 0).numpy()
+    assert got[:, 0].tolist() == [12, 14, 0, 2, 8, 10, 4, 6]

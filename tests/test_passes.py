@@ -164,3 +164,44 @@ def test_remote_load_blocks_aggregation():
 
     prog = compile_kernel(remote, {"W": 2, "BM": 8})
     assert not _loops(prog.ir)[0].aggregable
+
+
+@kernel
+def _table_indexed(table, src, out, N: tl.constexpr, B: tl.constexpr):
+    for i in range(0, N):
+        w = tl.load(src, (i * B, i * B + B), (0, B))     # address known
+        r = tl.load_scalar(table[0], i)
+        x = tl.load(src, (r * B, r * B + B), (0, B))     # reads r directly
+        lo = r * B
+        y = tl.load(src, (lo, lo + B), (0, B))           # through lo
+        lo = i * B
+        z = tl.load(src, (lo, lo + B), (0, B))           # lo recomputed
+        tl.store(out, (i * B, i * B + B), (0, B), x + y + z + w)
+
+
+@kernel
+def _branch_indexed(src, out, N: tl.constexpr, B: tl.constexpr):
+    r = 0
+    for i in range(0, N):
+        if i > 1:
+            r = i - 2
+        x = tl.load(src, (r * B, r * B + B), (0, B))
+        tl.store(out, (i * B, i * B + B), (0, B), x)
+
+
+def test_load_addressed_by_load_scalar_is_not_prefetched():
+    """The prefetch recomputes addresses from top-level scalar assignments
+    only; a load_scalar result (directly or through an assignment) would be
+    the previous iteration's value there, so such loads stay in place."""
+    prog = compile_kernel(_table_indexed, {"N": 4, "B": 2})
+    assert _loops(prog.ir)[0].pipelined
+    w, x, y, z = _loads(prog.ir)
+    assert w.prefetchable
+    assert not x.prefetchable
+    assert not y.prefetchable
+    assert z.prefetchable
+
+
+def test_load_addressed_by_branch_assignment_is_not_prefetched():
+    prog = compile_kernel(_branch_indexed, {"N": 4, "B": 2})
+    assert not _loads(prog.ir)[0].prefetchable
