@@ -376,7 +376,7 @@ class AbstractEvaluator:
                         self.warn_once("analysis.error",
                                        "notify target rank is unknown", s)
                         return
-                elif getattr(ch, "notify_target", "local") == "mapped":
+                elif ch.notify_target == "mapped":
                     dst = ch.producer_rank(tid)
                 else:
                     dst = self.rank

@@ -186,6 +186,7 @@ class PlanBuilder:
         consumer_mapping: TableTileMapping | None = None,
         threshold_scale: int = 1,
         comm_blocks: int = 0,
+        notify_counts: object | None = None,
     ) -> list[BlockChannel]:
         self._channel_count += 1
         uname = f"{name}.{self._channel_count}"
@@ -198,7 +199,7 @@ class PlanBuilder:
                      for r in range(self.world)]
         channels = []
         for rank in range(self.world):
-            ch = BlockChannel(
+            channels.append(BlockChannel(
                 rank=rank,
                 num_ranks=self.world,
                 comm_blocks=comm_blocks,
@@ -208,11 +209,11 @@ class PlanBuilder:
                 barriers=barriers[rank],
                 all_barriers=barriers,
                 all_peer_barriers=peers,
-            )
-            ch.notify_target = notify_target
-            ch.consumer_mapping = consumer_mapping
-            ch.threshold_scale = threshold_scale
-            channels.append(ch)
+                notify_target=notify_target,
+                consumer_mapping=consumer_mapping,
+                threshold_scale=threshold_scale,
+                notify_counts=notify_counts,
+            ))
         return channels
 
     # -- tensors ------------------------------------------------------------

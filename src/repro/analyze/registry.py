@@ -393,9 +393,8 @@ def build_moe_rs_plan(world: int = 2, *,
         "moe_rs", mapping=seg_mapping,
         comm_grid=TileGrid(m, h, m_per, h),
         consumer_grid=TileGrid(m_per, h, bmr, bnr),
-        consumer_mapping=seg_mapping, peer_cells=world)
-    for ch in channels:
-        ch.notify_counts = routing.segment_counts
+        consumer_mapping=seg_mapping, peer_cells=world,
+        notify_counts=routing.segment_counts)
 
     b.launch(_moe_rs_producer, _GRID,
              dict(NT=routing.n_tiles, D=d, H=h, BM=bm, BN=bn, BK=bk),

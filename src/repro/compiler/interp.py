@@ -21,6 +21,38 @@ become Python locals; a name that may be read before it is assigned is
 checked at the read and raises :class:`~repro.errors.LoweringError`, like
 an unbound name in the walker.
 
+**Static tile shapes.**  Tile shapes are compile-time constants in
+TileLink, so the lowering infers them before it emits code
+(:meth:`_Lowering.flow`, a fixpoint over loops): a load's extent is static
+when both bounds are literal or the range is ``(e, e + c)`` for an
+int-valued ``e`` (``tid * B, tid * B + B``); ``zeros``/``full`` shapes
+follow from non-negative literal dims and ``dot``, ``cast``, the unary, binary and row
+ops from their operands.  Dtypes are tokens: a constant, the dtype of the
+block's local instance of a tensor parameter, or the promotion of two
+tokens.  Everything an op computes from static shapes alone moves into a
+**per-block prologue** that runs once before the block's first tile: byte
+counts, load and store costs, the dot's cost (one
+``CostModel.tile_efficiency`` call), vector-op durations and their
+``Timeout`` (immutable, so re-yielded per tile), the shared timing-mode
+result ``TileVal`` stubs, ``channel.<field>`` reads, the channel's
+barrier banks and its notify target.  An aggregable loop whose whole body
+is static and whose trip count is constant gets its probe totals in the
+prologue too, and its per-tile code shrinks to the scalar statements, the
+tile assignments and one ``reserve_hbm`` plus one yield; a flag computed
+in the prologue sends the loop to the ordinary probe when some tensor has
+no local instance.
+
+What stays per tile: every check that can raise (unbound names, range
+bounds that are not plain int arithmetic, bindings, remote stores), each
+at its op with the walker's exception and message; remote and ``rank=``
+loads, whose interconnect reservation happens at the op's own time;
+``reserve_hbm``; all of numeric mode's data reads and writes (numeric
+mode only takes the hoisted dot and vector costs).  Hoisted expressions
+keep the walker's float operation order, so every simulated number is
+bit-identical, and the prologue itself never raises: it reads machine
+rates that ``HardwareSpec`` keeps positive, and tensor bindings only
+behind a None test.
+
 Scheduling semantics (see compiler/passes.py for how the annotations are
 produced):
 
@@ -57,7 +89,7 @@ import linecache
 import math
 import weakref
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -162,9 +194,11 @@ def _select(bound: Any, name: str, rank: int | None,
 
 def _local_binding(bound: Any, name: str,
                    my_rank: int) -> tuple[SimTensor, int] | None:
-    """The local instance, or None where :func:`_select` would raise."""
+    """The instance :func:`_select` picks for ``rank=None``, or None where
+    it would raise or pick something other than a tensor."""
     if isinstance(bound, list):
-        return (bound[my_rank], my_rank) if 0 <= my_rank < len(bound) else None
+        inst = bound[my_rank] if 0 <= my_rank < len(bound) else None
+        return (inst, my_rank) if isinstance(inst, SimTensor) else None
     if isinstance(bound, SimTensor):
         return bound, bound.rank
     return None
@@ -181,6 +215,29 @@ def _channel(bindings: dict[str, Any], param: str, kname: str) -> BlockChannel:
         raise RuntimeLaunchError(
             f"kernel {kname!r} expects a BlockChannel for parameter {param!r}")
     return ch
+
+
+def _field(ch: BlockChannel, name: str) -> Any:
+    """``ch.scalar_field(name)``, or _UNSET where that would raise."""
+    try:
+        return ch.scalar_field(name)
+    except LoweringError:
+        return _UNSET
+
+
+def _promote(a: np.dtype | None, b: np.dtype | None) -> np.dtype | None:
+    """``np.result_type(a, b)``, or None where that would raise."""
+    if a is None or b is None:
+        return None
+    try:
+        return np.result_type(a, b)
+    except TypeError:
+        return None
+
+
+def _timeout(delay: float) -> Timeout | None:
+    """A reusable Timeout of a constant delay, or None where Timeout() raises."""
+    return Timeout(delay) if 0 < delay < math.inf else None
 
 
 def _fail(exc: type[Exception], msg: str, *_evaluated: Any) -> Any:
@@ -280,6 +337,7 @@ _RUNTIME = {
     "_SimulationError": SimulationError, "_RuntimeLaunchError": RuntimeLaunchError,
     "_binding": _binding, "_select": _select, "_local_binding": _local_binding,
     "_scalar_binding": _scalar_binding, "_channel": _channel, "_fail": _fail,
+    "_field": _field, "_promote": _promote, "_timeout": _timeout,
     "_binary_stub": _binary_stub, "_apply_binary": apply_binary,
     "_apply_unary": apply_unary, "_padded_to": padded_to,
     "_gather_rows": _gather_rows, "_scatter_add_effect": _scatter_add_effect,
@@ -292,6 +350,8 @@ _RUNTIME = {
 # ---------------------------------------------------------------------------
 
 _ARITH = {"+", "-", "*", "//", "/", "%", "**", "<", "<=", ">", ">=", "==", "!="}
+#: scalar ops that cannot raise on numbers
+_TOTAL_OPS = (_ARITH - {"/", "//", "%", "**"}) | {"and", "or", "min", "max"}
 _UNARY_TILE = ("exp", "log", "relu", "neg", "silu", "gelu")
 _BINARY_TILE = ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile")
 
@@ -332,6 +392,102 @@ class _Cost:
         self.compute, self.load, self.hbm = compute, load, hbm
 
 
+# -- static shapes ------------------------------------------------------------
+#
+# A dtype *token* names a tile dtype the lowering can rebuild once per
+# block: ("c", np.dtype) a constant, ("b", tensor) the dtype of the block's
+# local instance of a tensor parameter, ("rt", x, y) np.result_type of two
+# tokens.
+
+
+class _Static(NamedTuple):
+    """What the lowering knows of a tile value at one program point: its
+    shape (None: unknown) and the set of dtype tokens it may hold."""
+
+    shape: tuple[int, ...] | None
+    dtypes: frozenset | None
+
+    @property
+    def dtype(self) -> tuple | None:
+        """The tile's one possible dtype token, or None."""
+        if self.dtypes is not None and len(self.dtypes) == 1:
+            return next(iter(self.dtypes))
+        return None
+
+
+_F32_TOKENS = frozenset({("c", _F32)})
+#: a scalar operand of an elementwise op, as ``_binary_stub`` sees it
+_SCALAR = _Static((), _F32_TOKENS)
+#: dtype sets larger than this are treated as unknown (ends loop fixpoints)
+_MAX_DTYPES = 4
+
+
+def _static(shape: tuple[int, ...] | None,
+            dtypes: frozenset | None) -> _Static | None:
+    return None if shape is None and dtypes is None else _Static(shape, dtypes)
+
+
+def _promote_token(x: tuple, y: tuple) -> tuple | None:
+    """Token of ``np.result_type(x, y)``; promotion is commutative and
+    idempotent (``result_type(result_type(x, y), y)`` is the first)."""
+    if x == y or (x[0] == "rt" and y in x[1:]):
+        return x
+    if y[0] == "rt" and x in y[1:]:
+        return y
+    if x[0] == y[0] == "c":
+        try:
+            return ("c", np.result_type(x[1], y[1]))
+        except TypeError:
+            return None
+    return ("rt", x, y)
+
+
+def _join(a: _Static, b: _Static) -> _Static | None:
+    dtypes = None
+    if a.dtypes is not None and b.dtypes is not None:
+        dtypes = a.dtypes | b.dtypes
+        if len(dtypes) > _MAX_DTYPES:
+            dtypes = None
+    return _static(a.shape if a.shape == b.shape else None, dtypes)
+
+
+def _join_env(a: dict[str, _Static], b: dict[str, _Static]) -> dict[str, _Static]:
+    out = {}
+    for name, sa in a.items():
+        sb = b.get(name)
+        joined = _join(sa, sb) if sb is not None else None
+        if joined is not None:
+            out[name] = joined
+    return out
+
+
+class _AllDefined(frozenset):
+    """A ``defined`` set holding every name: renders expressions without
+    their unbound-name checks (for comparing sources)."""
+
+    def __contains__(self, item: object) -> bool:
+        return True
+
+
+_ALL_DEFINED = _AllDefined()
+
+
+class _Fast(NamedTuple):
+    """A tile op whose shapes are static, with its per-block constants.
+
+    ``checks`` are expressions evaluated in place for the errors the op
+    would raise; ``bind`` the tensor a load or store reads from the block's
+    local instance (without one the op takes its general form); ``value``
+    the result (a shared stub); ``cost`` the op's cost as prologue
+    constants.
+    """
+
+    checks: list[str]
+    bind: str | None
+    value: str | None
+    cost: _Cost
+
+
 class _Lowering:
     """Generates the block function of one (program, numerics mode)."""
 
@@ -347,6 +503,12 @@ class _Lowering:
         self.slots: dict[int, str] = {}
         self.hoisted: dict[str, str] = {}
         self.names: dict[tuple[str, str], str] = {}
+        #: per-block prologue: lines and the local of each interned expression
+        self.prologue: list[str] = []
+        self.prologue_ids: dict[str, str] = {}
+        #: static shapes: tile op -> (result, operands), from :meth:`flow`
+        self.facts: dict[int, tuple[_Static | None, tuple]] = {}
+        self.dtype_names: dict[np.dtype, str] = {}
         assigned = set()
         for s in walk_block(self.ir.body):
             if isinstance(s, AssignScalar):
@@ -364,6 +526,7 @@ class _Lowering:
                 self.inline[p] = lit
             else:
                 self.constexpr_locals.append(p)
+        self.ints = self.int_scalars()
 
     # ------------------------------------------------------------ utilities
 
@@ -429,7 +592,9 @@ class _Lowering:
         if isinstance(e, ChannelField):
             if self.ir.channel_param is None:
                 return f"_fail(_LoweringError, {self.const(self._no_channel_msg())})"
-            return f"_ch.scalar_field({e.field_name!r})"
+            # read once per block; a field that does not resolve raises here
+            f = self.pre("_f", f"_field(_ch, {e.field_name!r})")
+            return f"({f} if {f} is not _U else _ch.scalar_field({e.field_name!r}))"
         if isinstance(e, UnaryOp):
             v = self._x(e.operand, defined, rename)
             return f"(-{v})" if e.op == "-" else f"(not {v})"
@@ -467,6 +632,356 @@ class _Lowering:
             return self.x(arg, defined, rename)
         return f"_fail(_LoweringError, {self.const(f'bad tile operand {arg!r}')})"
 
+    # --------------------------------------------------------- static shapes
+
+    def int_scalars(self) -> set[str]:
+        """Kernel scalars that only ever hold ints (bools count as ints).
+
+        Flow-insensitive: a scalar qualifies when every assignment to it
+        yields an int.  Tensor parameters read as scalars may be bound to
+        floats, so they never do.
+        """
+        consts = self.program.constexprs
+        ints = {"$bid", "$nblocks"}
+        assigns = []
+        for s in walk_block(self.ir.body):
+            if isinstance(s, AssignScalar):
+                ints.add(s.target)
+                assigns.append(s)
+            elif isinstance(s, For):
+                ints.add(s.var)
+            elif isinstance(s, TileOp) and s.op == "load_scalar" and s.target:
+                ints.add(s.target)
+        ints -= set(self.program.tensor_params)
+        ints -= {p for p in self.constexpr_locals
+                 if type(consts[p]) not in (int, bool)}
+        changed = True
+        while changed:
+            changed = False
+            for s in assigns:
+                if s.target in ints and not self.is_int(s.value, ints):
+                    ints.discard(s.target)
+                    changed = True
+        return ints
+
+    def is_int(self, e: Any, ints: set[str] | None = None) -> bool:
+        """Whether a scalar expression yields an int whenever it yields."""
+        ints = self.ints if ints is None else ints
+        if isinstance(e, Const):
+            return type(e.value) in (int, bool)
+        if isinstance(e, Name):
+            if e.id in self.inline:
+                return type(self.program.constexprs[e.id]) in (int, bool)
+            return e.id in ints
+        if isinstance(e, ChannelField):
+            return True  # scalar_field returns ints only
+        if isinstance(e, UnaryOp):
+            return e.op == "not" or self.is_int(e.operand, ints)
+        if isinstance(e, BinOp):
+            if e.op in ("<", "<=", ">", ">=", "==", "!="):
+                return True
+            if e.op in ("+", "-", "*", "//", "%", "cdiv", "min", "max",
+                        "and", "or"):
+                return self.is_int(e.left, ints) and self.is_int(e.right, ints)
+        return False
+
+    def pure(self, e: Any, defined: set[str]) -> bool:
+        """Whether evaluating a scalar expression can neither raise nor
+        depend on anything but defined kernel scalars."""
+        if isinstance(e, Const):
+            return _literal(e.value) is not None
+        if isinstance(e, Name):
+            return e.id in self.inline or self.svar(e.id) in defined
+        if isinstance(e, UnaryOp):
+            return self.pure(e.operand, defined)
+        if isinstance(e, BinOp):
+            if e.op in ("//", "%", "/", "cdiv"):
+                right = e.right.value if isinstance(e.right, Const) else None
+                if isinstance(e.right, Name) and e.right.id in self.inline:
+                    right = self.program.constexprs[e.right.id]
+                return (type(right) in (int, float) and right != 0
+                        and self.pure(e.left, defined))
+            if e.op in _TOTAL_OPS:
+                return self.pure(e.left, defined) and self.pure(e.right, defined)
+        return False
+
+    def extent(self, pair: Any) -> int | None:
+        """A load range's extent when it is the same for every tile: both
+        bounds literal, or ``(e, e + c)`` for an int-valued ``e``."""
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return None
+        lo, hi = (self.x(e, _ALL_DEFINED) for e in pair)
+        a, b = _int_literal(lo), _int_literal(hi)
+        if a is not None and b is not None:
+            return b - a if b >= a else None
+        prefix = f"({lo} + "
+        if hi.startswith(prefix) and hi.endswith(")") and self.is_int(pair[0]):
+            c = _int_literal(hi[len(prefix):-1])
+            if c is not None and c >= 0:
+                return c
+        return None
+
+    def dtype_tokens(self, spec: Any) -> frozenset | None:
+        try:
+            return frozenset({("c", resolve_dtype(spec))})
+        except ShapeError:
+            return None
+
+    def flow(self, stmts: list[Stmt], env: dict[str, _Static]) -> dict[str, _Static]:
+        """Static shapes of the tile locals after ``stmts``, starting from
+        ``env`` (which it updates); records every tile op's facts."""
+        for s in stmts:
+            if isinstance(s, TileOp):
+                res = self.infer(s, env)
+                if s.target is not None and s.op != "load_scalar":
+                    if res is None:
+                        env.pop(s.target, None)
+                    else:
+                        env[s.target] = res
+            elif isinstance(s, If):
+                env = _join_env(self.flow(s.then, dict(env)),
+                                self.flow(s.orelse, dict(env)))
+            elif isinstance(s, For):
+                # loop entry: a fixpoint over the entry and back edges;
+                # the last pass records the facts valid for every trip
+                entry = env
+                while True:
+                    out = self.flow(s.body, dict(entry))
+                    joined = _join_env(env, out)
+                    if joined == entry:
+                        break
+                    entry = joined
+                bounds = [_int_literal(self.x(e, _ALL_DEFINED))
+                          for e in (s.start, s.stop, s.step)]
+                ran = None not in bounds and bounds[2] != 0 and len(range(*bounds)) > 0
+                env = out if ran else entry
+            elif isinstance(s, Primitive) and s.target is not None:
+                env.pop(s.target, None)
+        return env
+
+    def infer(self, s: TileOp, env: dict[str, _Static]) -> _Static | None:
+        """Static result of one tile op (recorded with its operands)."""
+        op, a = s.op, s.args
+
+        def tile(arg: Any) -> _Static | None:
+            return env.get(arg) if isinstance(arg, str) else None
+
+        res, operands = None, ()
+        if op in ("zeros", "full"):
+            dims = a[0] if isinstance(a[0], tuple) else (a[0],)
+            lits = [_int_literal(self.x(e, _ALL_DEFINED)) for e in dims]
+            spec = (a[1] if op == "zeros" and len(a) > 1 else
+                    a[2] if op == "full" and len(a) > 2 else "float32")
+            # a negative dim stays dynamic, as a negative range extent does:
+            # its per-tile op raises where the walker's does
+            static = all(n is not None and n >= 0 for n in lits)
+            res = _static(tuple(lits) if static else None, self.dtype_tokens(spec))
+        elif op in ("load", "load_vec"):
+            ref, pairs = a[0], a[1:3] if op == "load" else a[1:2]
+            ext = tuple(self.extent(p) for p in pairs)
+            static = None not in ext and len(ext) == (2 if op == "load" else 1)
+            local = isinstance(ref, TensorRef) and ref.rank is None
+            res = _static(ext if static else None,
+                          frozenset({("b", ref.name)}) if local else None)
+        elif op in ("store", "store_vec", "atomic_add"):
+            operands = (tile(a[2] if op == "store_vec" else a[3]),)
+        elif op == "dot":
+            operands = xa, xb = tile(a[0]), tile(a[1])
+            shape = None
+            if (xa and xb and xa.shape and xb.shape and len(xa.shape) == 2
+                    and len(xb.shape) == 2 and xa.shape[1] == xb.shape[0]):
+                shape = (xa.shape[0], xb.shape[1])
+            res = _Static(shape, _F32_TOKENS)
+        elif op in _BINARY_TILE:
+            operands = xa, xb = tuple(
+                _SCALAR if isinstance(arg, Expr) else tile(arg) for arg in a[:2])
+            if xa is not None and xb is not None:
+                shape = None
+                if xa.shape is not None and xb.shape is not None:
+                    try:
+                        shape = tuple(int(n) for n in np.broadcast_shapes(
+                            xa.shape, xb.shape))
+                    except ValueError:
+                        pass
+                dtypes = None
+                if xa.dtypes is not None and xb.dtypes is not None:
+                    dtypes = frozenset(_promote_token(x, y)
+                                       for x in xa.dtypes for y in xb.dtypes)
+                    if None in dtypes or len(dtypes) > _MAX_DTYPES:
+                        dtypes = None
+                res = _static(shape, dtypes)
+        elif op in _UNARY_TILE + ("copy", "cast", "expand_dims", "row_max", "row_sum"):
+            operands = (x := tile(a[0]),)
+            if op == "cast":
+                res = _static(x.shape if x else None, self.dtype_tokens(a[1]))
+            elif op in ("row_max", "row_sum"):
+                two_d = x is not None and x.shape is not None and len(x.shape) == 2
+                res = _Static((x.shape[0],) if two_d else None, _F32_TOKENS)
+            elif op in ("exp", "log", "silu", "gelu"):
+                res = _Static(x.shape if x else None, _F32_TOKENS)
+            elif x is not None:
+                shape = x.shape
+                if op == "expand_dims" and shape is not None:
+                    shape = (*shape, 1)
+                res = _Static(shape, x.dtypes)
+        self.facts[id(s)] = (res, operands)
+        return res
+
+    # ------------------------------------------------------ per-block prologue
+
+    def pre(self, prefix: str, expr: str) -> str:
+        """A local holding ``expr``, evaluated once in the block prologue.
+
+        Prologue expressions never raise: they read machine constants,
+        channel fields through ``_field`` and local tensor bindings that
+        may be None (``_b``) only behind a None test.
+        """
+        name = self.prologue_ids.get(expr)
+        if name is None:
+            name = self.prologue_ids[expr] = self.fresh(prefix)
+            self.prologue.append(f"{name} = {expr}")
+        return name
+
+    def local_binding(self, tensor: str) -> str:
+        """The block's ``(instance, owning rank)`` of a tensor, or None."""
+        h = self.hoisted.get(tensor)
+        if h is None:
+            h = self.hoisted[tensor] = self.fresh("_b")
+        return h
+
+    def guard(self, tensors: list[str]) -> str | None:
+        """A prologue flag: every tensor resolves to a local instance."""
+        flags = []
+        for t in dict.fromkeys(tensors):
+            h = self.local_binding(t)
+            flags.append(self.pre("_g", f"{h} is not None and {h}[1] == _rank"))
+        if len(flags) > 1:
+            return self.pre("_g", " and ".join(flags))
+        return flags[0] if flags else None
+
+    def dtype_src(self, token: tuple) -> str:
+        """Prologue expression of a dtype token (None: promotion failed)."""
+        kind = token[0]
+        if kind == "c":
+            if token[1] == _F32:
+                return "_F32"
+            name = self.dtype_names.get(token[1])
+            if name is None:
+                name = self.dtype_names[token[1]] = self.const(token[1])
+            return name
+        if kind == "b":
+            h = self.local_binding(token[1])
+            return self.pre("_d", f"{h}[0].dtype if {h} is not None else _F32")
+        return self.pre("_d", f"_promote({self.dtype_src(token[1])}, "
+                              f"{self.dtype_src(token[2])})")
+
+    def itemsize_src(self, token: tuple) -> str:
+        if token[0] == "c":
+            return str(token[1].itemsize)
+        d = self.dtype_src(token)
+        return self.pre("_i", f"{d}.itemsize if {d} is not None else 0")
+
+    def stub(self, st: _Static) -> str:
+        """The shared timing-mode TileVal of a static shape and dtype."""
+        return self.pre("_s", f"_tile({st.shape!r}, {self.dtype_src(st.dtype)}, None)")
+
+    def vector_pre(self, size: int, flops: float) -> str:
+        # CostModel.vector_tile_time(n, flops, 0.0), as vector_cost
+        return self.pre("_du", f"max({size} * {flops!r} / _psvf, 0.0)")
+
+    def dot_pre(self, mm: int, nn: int, kk: int) -> str:
+        return self.pre("_C", f"2.0 * {mm} * {nn} * {kk} / (_pstf * "
+                              f"_cost.tile_efficiency({mm}, {nn}, {kk}))")
+
+    def check_operand(self, checks: list[str], arg: Any, defined: set[str]) -> None:
+        """Record the evaluation of an operand when it may raise."""
+        if isinstance(arg, str):
+            src = self.operand(arg, defined)
+            if src != self.tvar(arg):
+                checks.append(src)
+        elif not (isinstance(arg, Expr) and self.pure(arg, defined)):
+            checks.append(self.operand(arg, defined))
+
+    def check_ranges(self, checks: list[str], pairs: tuple, defined: set[str]) -> bool:
+        """Record the ``int()`` of each range bound that may raise; False
+        when a pair is malformed (the op raises at lowering's emission)."""
+        for pair in pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                return False
+            for e in pair:
+                if not (self.is_int(e) and self.pure(e, defined)):
+                    checks.append(self.int_x(e, defined))
+        return True
+
+    def static_op(self, s: TileOp, defined: set[str]) -> _Fast | None:
+        """The timing-mode form of a tile op whose shapes are static, or
+        None when its work depends on the tile."""
+        res, operands = self.facts.get(id(s), (None, ()))
+        op, a = s.op, s.args
+        checks: list[str] = []
+        full = res is not None and res.shape is not None and res.dtype is not None
+        if op in ("zeros", "full"):
+            if not full:
+                return None
+            if op == "full" and not (isinstance(a[1], Expr) and self.pure(a[1], defined)):
+                checks.append(self.x(a[1], defined))
+            return _Fast(checks, None, self.stub(res), _Cost())
+        if op in ("load", "load_vec"):
+            if not full or not self.check_ranges(checks, a[1:3] if op == "load"
+                                                 else a[1:2], defined):
+                return None
+            nb = self.pre("_nb", " * ".join(
+                [*map(str, res.shape), self.itemsize_src(res.dtype)]))
+            cost = _Cost(load=self.pre("_L", f"{nb} / _feed"), hbm=nb)
+            return _Fast(checks, a[0].name, self.stub(res), cost)
+        if op in ("store", "store_vec", "atomic_add"):
+            (v,) = operands
+            ref = a[0]
+            if (v is None or v.shape is None or v.dtype is None
+                    or not (isinstance(ref, TensorRef) and ref.rank is None)):
+                return None
+            vector = op == "store_vec"
+            if not self.check_ranges(checks, a[1:2] if vector else a[1:3], defined):
+                return None
+            self.check_operand(checks, a[2] if vector else a[3], defined)
+            nb = self.pre("_nb", f"{math.prod(v.shape)} * "
+                                 f"{self.itemsize_src(v.dtype)}")
+            factor = "2.0" if op == "atomic_add" else "1.0"
+            cost = _Cost(load=self.pre("_L", f"{factor} * {nb} / _feed"),
+                         hbm=self.pre("_H", f"{factor} * {nb}"))
+            return _Fast(checks, ref.name, None, cost)
+        if not full:
+            return None
+        if op == "dot":
+            acc = s.kwargs.get("acc")
+            for arg in (a[0], a[1]) if acc is None else (a[0], a[1], acc):
+                self.check_operand(checks, arg, defined)
+            (mm, kk), nn = operands[0].shape, operands[1].shape[1]
+            return _Fast(checks, None, self.stub(res),
+                         _Cost(compute=self.dot_pre(mm, nn, kk)))
+        if op in _BINARY_TILE:
+            self.check_operand(checks, a[0], defined)
+            self.check_operand(checks, a[1], defined)
+            value = self.stub(res)
+            if res.dtype[0] == "rt":
+                # a promotion that fails in the prologue raises in place
+                operands = ", ".join(self.operand(x, defined) for x in a[:2])
+                value = (f"({value} if {self.dtype_src(res.dtype)} is not None "
+                         f"else _binary_stub({operands}))")
+            return _Fast(checks, None, value, _Cost(
+                compute=self.vector_pre(math.prod(res.shape), ELEMENTWISE_FLOPS[op])))
+        if op in _UNARY_TILE + ("copy", "cast", "expand_dims", "row_max", "row_sum"):
+            x = operands[0]
+            if x is None or x.shape is None:
+                return None
+            self.check_operand(checks, a[0], defined)
+            cost = _Cost()
+            if op not in ("copy", "expand_dims"):
+                flops = 1.0 if op == "cast" else ELEMENTWISE_FLOPS[op]
+                cost = _Cost(compute=self.vector_pre(math.prod(x.shape), flops))
+            return _Fast(checks, None, self.stub(res), cost)
+        return None
+
     def range_pair(self, d: int, arg: Any, lo: str, hi: str, defined: set[str],
                    rename: dict[str, str] | None) -> None:
         """Emit ``lo, hi = int(a), int(b)`` for a (lo, hi) pair argument."""
@@ -488,9 +1003,7 @@ class _Lowering:
         """Emit ``_T, _o = <tensor instance, owning rank>`` for a TensorRef."""
         kn = self.const(self.kname)
         if ref.rank is None:
-            h = self.hoisted.get(ref.name)
-            if h is None:
-                h = self.hoisted[ref.name] = self.fresh("_b")
+            h = self.local_binding(ref.name)
             self.w(d, f"_T, _o = {h} or _select(_binding(_bindings, "
                       f"{ref.name!r}, {kn}), {ref.name!r}, None, _rank)")
         else:
@@ -502,15 +1015,22 @@ class _Lowering:
 
     def tile_op(self, d: int, s: TileOp, numeric: bool, costed: bool,
                 defined: set[str], rename: dict[str, str] | None = None,
-                ) -> tuple[str | None, _Cost, list[str]]:
+                fast: bool = True) -> tuple[str | None, _Cost, list[str]]:
         """Emit one tile op's evaluation.
 
         Returns ``(value, cost, effect)``: the expression holding its
         value (a scalar for ``load_scalar``), its cost (costed=True) and
         the statements applying its deferred numpy effect.
         """
+        if fast and not numeric and rename is None:
+            static = self.static_op(s, defined)
+            if static is not None:
+                return self.fast_op(d, s, static, costed, defined)
         op = s.op
         a = s.args
+        # static shapes price dot and vector ops from prologue constants
+        res, operands = self.facts.get(id(s), (None, ()))
+        first = operands[0] if operands else None
         cost = _Cost()
         effect: list[str] = []
         val: str | None = "_val"
@@ -639,7 +1159,9 @@ class _Lowering:
             w(d + 1, 'raise _ShapeError(f"dot shape mismatch {_a.shape} x {_b.shape}")')
             w(d, "_mm, _kk = _a.shape")
             w(d, "_nn = _b.shape[1]")
-            if costed:
+            if costed and res is not None and res.shape is not None:
+                cost = _Cost(compute=self.dot_pre(*res.shape, first.shape[1]))
+            elif costed:
                 w(d, "_C = 2.0 * _mm * _nn * _kk / "
                      "(_pstf * _cost.tile_efficiency(_mm, _nn, _kk))")
                 cost = _Cost(compute="_C")
@@ -659,13 +1181,13 @@ class _Lowering:
             else:
                 dt = "_F32" if op in ("exp", "log", "silu", "gelu") else "_x.dtype"
                 w(d, f"_val = _tile(_x.shape, {dt}, None)")
-            cost = self.vector_cost("_x.size", ELEMENTWISE_FLOPS[op])
+            cost = self.vector_cost(first, ELEMENTWISE_FLOPS[op])
         elif op in _BINARY_TILE:
             w(d, f"_a = {self.operand(a[0], defined, rename)}")
             w(d, f"_b = {self.operand(a[1], defined, rename)}")
             fn = f"_apply_binary({op!r}, _a, _b)" if numeric else "_binary_stub(_a, _b)"
             w(d, f"_val = {fn}")
-            cost = self.vector_cost("_val.size", ELEMENTWISE_FLOPS[op])
+            cost = self.vector_cost(res, ELEMENTWISE_FLOPS[op], "_val.size")
         elif op == "cast":
             w(d, f"_x = {self.operand(a[0], defined, rename)}")
             dt = self.dtype_const(d, a[1])
@@ -674,7 +1196,7 @@ class _Lowering:
             data = (f"_x.data.astype({dt}) if _x.data is not None else None"
                     if numeric else "None")
             w(d, f"_val = _tile(_x.shape, {dt}, {data})")
-            cost = self.vector_cost("_x.size", 1.0)
+            cost = self.vector_cost(first, 1.0)
         elif op == "expand_dims":
             w(d, f"_x = {self.operand(a[0], defined, rename)}")
             data = ("_x.data.reshape((*_x.shape, 1)) if _x.data is not None "
@@ -690,7 +1212,7 @@ class _Lowering:
                 data = (f"{fn}(_x.data.astype(_F32), axis=1) "
                         "if _x.data is not None else None")
             w(d, f"_val = _tile((_x.shape[0],), _F32, {data})")
-            cost = self.vector_cost("_x.size", ELEMENTWISE_FLOPS[op])
+            cost = self.vector_cost(first, ELEMENTWISE_FLOPS[op])
         else:
             self.raise_(d, "_LoweringError", f"unknown tile op {op!r}")
             return None, cost, effect
@@ -698,10 +1220,44 @@ class _Lowering:
             cost = _Cost()
         return val, cost, effect
 
-    def vector_cost(self, size: str, flops: float) -> _Cost:
+    def vector_cost(self, counted: _Static | None, flops: float,
+                    size: str = "_x.size") -> _Cost:
+        """Cost of a vector op over the ``size`` elements of a tile (a
+        prologue constant when ``counted``, that tile, has a static shape)."""
+        if counted is not None and counted.shape is not None:
+            return _Cost(compute=self.vector_pre(math.prod(counted.shape), flops))
         # CostModel.vector_tile_time(n, flops, 0.0): max(compute, memory)
         # with a memory term of exactly 0.0 for zero bytes per element
         return _Cost(compute=f"max({size} * {flops!r} / _psvf, 0.0)")
+
+    def fast_op(self, d: int, s: TileOp, f: _Fast, costed: bool,
+                defined: set[str]) -> tuple[str | None, _Cost, list[str]]:
+        """Emit a static tile op (non-numeric): per tile only its checks
+        run.  A load or store runs so while its tensor has a local
+        instance (a prologue flag), else in its general form."""
+        w = self.w
+        if f.bind is None:
+            for check in f.checks:
+                w(d, check)
+            if f.value is not None and s.target is None and not f.value.isidentifier():
+                w(d, f.value)  # evaluated for its errors
+            return f.value, f.cost if costed else _Cost(), []
+        w(d, f"if {self.guard([f.bind])}:")
+        for check in f.checks:
+            w(d + 1, check)
+        if f.value is not None:
+            w(d + 1, f"_val = {f.value}")
+        if costed:
+            w(d + 1, f"_L = {f.cost.load}")
+            w(d + 1, f"_H = {f.cost.hbm}")
+        w(d, "else:")
+        val, cost, effect = self.tile_op(d + 1, s, False, costed, defined, fast=False)
+        if costed:
+            for local, part in (("_L", cost.load), ("_H", cost.hbm)):
+                if part != local:
+                    w(d + 1, f"{local} = {part}")
+            cost = _Cost(load="_L", hbm="_H")
+        return val, cost, effect
 
     def dtype_const(self, d: int, spec: Any) -> str | None:
         try:
@@ -721,6 +1277,12 @@ class _Lowering:
         busy = " + ".join(parts) if parts else "0.0"
         w = self.w
         w(d, "_t0 = _sim.now")
+        if busy in self.prologue_ids.values() and cost.hbm is None:
+            # a constant duration: one Timeout per block, yielded per tile
+            w(d, f"if {busy} > 0:")
+            w(d + 1, f"yield {self.pre('_to', f'_timeout({busy})')} or _Timeout({busy})")
+            self.trace(d + 1, category)
+            return
         if cost.hbm is not None:
             w(d, f"_hb = {cost.hbm}")
             w(d, f"_du = max({busy}, (_dev.reserve_hbm(_hb) if _hb > 0 "
@@ -729,8 +1291,7 @@ class _Lowering:
             w(d, f"_du = {busy}")
         w(d, "if _du > 0:")
         w(d + 1, "yield _Timeout(_du)")
-        w(d + 1, "if _tr and _sim.now > _t0:")
-        w(d + 2, f"_m.record(_rank, {category!r}, _label, _t0, _sim.now)")
+        self.trace(d + 1, category)
 
     def trace(self, d: int, category: str) -> None:
         self.w(d, "if _tr and _sim.now > _t0:")
@@ -899,11 +1460,18 @@ class _Lowering:
         (+ numeric replay)."""
         w = self.w
         w(d, f"{self.svar(s.var)} = {it}[0]")
-        pc, pl, ph = self.accumulators(d)
-        after = self.body(s.body, d, _PROBE, inner, (pc, pl, ph))
-        per = f"max({pl}, {pc})" if s.pipelined else f"{pl} + {pc}"
-        w(d, f"_tot = _mma + {n} * ({per})")
-        w(d, f"_hb = {n} * {ph} * {AGG_DRAM_DISCOUNT!r}")
+        static = self.static_probe(s, n, inner)
+        if static is None:
+            after = self.probe(s, n, d, inner)
+        else:
+            guard, lines, after = static
+            if guard is not None:
+                w(d, f"if {guard}:")
+            for line in lines:
+                w(d + (guard is not None), line)
+            if guard is not None:
+                w(d, "else:")  # a tensor without a local instance
+                self.probe(s, n, d + 1, inner)
         w(d, "_t0 = _sim.now")
         w(d, "yield _Timeout(max(_tot, (_dev.reserve_hbm(_hb) if _hb > 0 "
              "else _t0) - _t0))")
@@ -911,6 +1479,73 @@ class _Lowering:
         if self.execute:
             w(d, f"for {self.svar(s.var)} in {it}:")
             self.body(s.body, d + 1, _REPLAY, after)
+
+    def probe(self, s: For, n: str, d: int, inner: set[str]) -> set[str]:
+        """Emit the cost probe of an aggregated loop's first iteration and
+        its ``_tot``/``_hb``; returns the names defined after it."""
+        pc, pl, ph = self.accumulators(d)
+        after = self.body(s.body, d, _PROBE, inner, (pc, pl, ph))
+        tot, hb = self.totals(s, n, pc, pl, ph)
+        self.w(d, f"_tot = {tot}")
+        self.w(d, f"_hb = {hb}")
+        return after
+
+    def totals(self, s: For, n: str, pc: str, pl: str, ph: str) -> tuple[str, str]:
+        """An aggregated loop's busy time and HBM bytes from its probe."""
+        per = f"max({pl}, {pc})" if s.pipelined else f"{pl} + {pc}"
+        return f"_mma + {n} * ({per})", f"{n} * {ph} * {AGG_DRAM_DISCOUNT!r}"
+
+    def static_probe(self, s: For, n: str, defined: set[str],
+                     ) -> tuple[str | None, list[str], set[str]] | None:
+        """The probe of an aggregable loop whose every tile op is static,
+        with a constant trip count: its totals become prologue constants.
+
+        Returns ``(guard, lines, defined after)``: ``guard`` names the
+        prologue flag under which ``lines`` replace the probe (None: they
+        always do); ``lines`` keep the probe's scalar statements, the
+        evaluations that may raise and the tile assignments, in order.
+        """
+        if _int_literal(n) is None:
+            return None
+        mark, ids = len(self.prologue), dict(self.prologue_ids)
+        lines: list[str] = []
+        binds: list[str] = []
+        costs: list[_Cost] = []
+        for t in s.body:
+            fast = self.static_op(t, defined) if isinstance(t, TileOp) else None
+            if fast is None and not isinstance(t, AssignScalar):
+                # work that depends on the tile: drop what was hoisted
+                del self.prologue[mark:]
+                self.prologue_ids = ids
+                return None
+            if t.lineno is not None:
+                lines.append(f"# line {t.lineno}")
+            if fast is None:
+                v = self.svar(t.target)
+                lines.append(f"{v} = {self.x(t.value, defined)}")
+                defined = defined | {v}
+                continue
+            lines += fast.checks
+            if fast.bind is not None:
+                binds.append(fast.bind)
+            costs.append(fast.cost)
+            if fast.value is not None and t.target is not None:
+                v = self.tvar(t.target)
+                lines.append(f"{v} = {fast.value}")
+                defined = defined | {v}
+            elif fast.value is not None and not fast.value.isidentifier():
+                lines.append(fast.value)
+        # the probe's accumulation, statement for statement (same float order)
+        acc = pc, pl, ph = (self.fresh("_pc"), self.fresh("_pl"), self.fresh("_ph"))
+        self.prologue.append(f"{pc} = {pl} = {ph} = 0.0")
+        for cost in costs:
+            for total, part in zip(acc, (cost.compute, cost.load, cost.hbm)):
+                if part is not None:
+                    self.prologue.append(f"{total} += {part}")
+        tot, hb = self.totals(s, n, pc, pl, ph)
+        lines.append(f"_tot = {self.pre('_tot', tot)}")
+        lines.append(f"_hb = {self.pre('_hb', hb)}")
+        return self.guard(binds), lines, defined
 
     def prefetch(self, s: For, d: int, defined: set[str]) -> None:
         """Hoist the loop's prefetchable loads to iteration start.
@@ -956,6 +1591,10 @@ class _Lowering:
         args, kw = s.args, s.kwargs
         ix = functools.partial(self.int_x, defined=defined)
 
+        def bank(attr: str) -> str:
+            # a channel's banks are fixed for a launch: read once per block
+            return self.pre("_cb", f"_ch.{attr}")
+
         if name == "tile_pull_data":
             w(d, "_t0 = _sim.now")
             ref = args[0]
@@ -981,20 +1620,20 @@ class _Lowering:
                 w(d, "if _ch.notify_counts is not None:")
                 w(d + 1, "for _ci, _amt in enumerate(_ch.notify_counts[_tid]):")
                 w(d + 2, "if _amt > 0:")
-                w(d + 3, "_ch.barriers.post_add(int(_ci), int(_amt), from_rank=_rank)")
+                w(d + 3, f"{bank('barriers')}.post_add(int(_ci), int(_amt), from_rank=_rank)")
                 w(d, "else:")
                 w(d + 1, "_cix = _ch.producer_channel(_tid)")
                 w(d + 1, "for _dst in range(_ch.num_ranks):")
-                w(d + 2, "_ch.all_barriers[_dst].post_add(_cix, 1, from_rank=_rank)")
+                w(d + 2, f"{bank('all_barriers')}[_dst].post_add(_cix, 1, from_rank=_rank)")
             elif mode == "p2p":
                 w(d, "_cix = _ch.producer_channel(_tid)")
                 target = kw.get("to")
                 if target is not None:
                     w(d, f"_dst = {ix(target)}")
                 else:
-                    w(d, '_dst = (_ch.producer_rank(_tid) if getattr(_ch, '
-                         '"notify_target", "local") == "mapped" else _rank)')
-                w(d, "_ch.all_barriers[_dst].post_add(_cix, 1, from_rank=_rank)")
+                    mapped = self.pre("_nt", '_ch.notify_target == "mapped"')
+                    w(d, f"_dst = _ch.producer_rank(_tid) if {mapped} else _rank")
+                w(d, f"{bank('all_barriers')}[_dst].post_add(_cix, 1, from_rank=_rank)")
             else:
                 w(d, "_ch.producer_channel(_tid)")
                 self.raise_(d, "_LoweringError", f"unknown notify mode {mode!r}")
@@ -1004,7 +1643,7 @@ class _Lowering:
             w(d, f"_tid = {ix(args[0])}")
             w(d, "_t0 = _sim.now")
             w(d, "for _ci, _th in _ch.consumer_wait_list(_tid):")
-            w(d + 1, "yield _ch.barriers.wait_geq(_ci, _th)")
+            w(d + 1, f"yield {bank('barriers')}.wait_geq(_ci, _th)")
             self.trace(d, "sync")
             return defined
 
@@ -1013,13 +1652,14 @@ class _Lowering:
             w(d, f"_pr = {ix(args[1])}")
             if name == "peer_tile_wait":
                 w(d, f"_cnt = {ix(kw['count']) if 'count' in kw else '1'}")
-            w(d, "if not _ch.all_peer_barriers:")
+            peers = bank("all_peer_barriers")
+            w(d, f"if not {peers}:")
             self.raise_(d + 1, "_LoweringError", "BlockChannel has no peer barriers")
             if name == "peer_tile_notify":
-                w(d, "_ch.all_peer_barriers[_pr].post_add(_cell, 1, from_rank=_rank)")
+                w(d, f"{peers}[_pr].post_add(_cell, 1, from_rank=_rank)")
                 return defined
             w(d, "_t0 = _sim.now")
-            w(d, "yield _ch.all_peer_barriers[_pr].wait_geq(_cell, _cnt)")
+            w(d, f"yield {peers}[_pr].wait_geq(_cell, _cnt)")
             self.trace(d, "sync")
             return defined
 
@@ -1078,6 +1718,7 @@ class _Lowering:
         defined = {self.svar("$bid"), self.svar("$nblocks")}
         defined |= {self.svar(p) for p in self.constexpr_locals}
         mode = "numeric" if self.execute else "timing"
+        self.flow(ir.body, {})
         self.body(ir.body, 1, _TIMED, defined)
         body, self.lines = self.lines, []
         w = self.w
@@ -1114,6 +1755,10 @@ class _Lowering:
             w(1, f"{v} = _U")
         for slot in self.slots.values():
             w(1, f"{slot} = None")
+        if self.prologue:
+            w(1, "# per-block constants of the static tile shapes")
+        for line in self.prologue:
+            w(1, line)
         self.lines.extend(body)
         w(1, "return")
         w(1, "yield  # the block is a generator even without timed work")

@@ -80,6 +80,13 @@ class HardwareSpec:
     #: Granularity at which a spinning consumer re-checks a signal.
     spin_poll_interval: float = 0.12e-6
 
+    def __post_init__(self) -> None:
+        # the lowered kernels divide by these rates once per block
+        for name in ("n_sms", "tensor_flops", "tensor_efficiency",
+                     "vector_flops", "smem_bandwidth_per_sm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"HardwareSpec.{name} must be positive")
+
     def scaled(self, **overrides: float) -> "HardwareSpec":
         """Return a copy with fields replaced (spec is frozen)."""
         return replace(self, **overrides)

@@ -233,9 +233,7 @@ def moe_rs_overlapped(
     channels = ctx.make_block_channels(
         tag, mapping=seg_mapping, comm_grid=TileGrid(cfg.m, cfg.h, m_per, cfg.h),
         consumer_grid=reduce_grid, consumer_mapping=seg_mapping,
-        peer_cells=world)
-    for ch in channels:
-        ch.notify_counts = routing.segment_counts
+        peer_cells=world, notify_counts=routing.segment_counts)
 
     launch_spmd(machine, _moe_rs_producer, grid, dict(
         grouped_in=ctx.heap.tensors(grouped_in_name),

@@ -6,6 +6,12 @@ producer/consumer block relationships and the tile-centric mapping used to
 resolve primitives.  The backend "decomposes" it during compilation /
 lowering: scalar fields feed ``channel.<field>`` reads, mappings feed
 primitive lowering, and the signal banks are the physical barriers.
+
+A channel is built complete and not changed afterwards: the lowered
+kernels read its fields once per block, and the primitive lookups of a
+static (affine) mapping are memoized per tile id.  Only a dynamic
+``TableTileMapping``, whose tables runtime routing may refill, is queried
+afresh on every call.
 """
 
 from __future__ import annotations
@@ -57,6 +63,13 @@ class BlockChannel:
     #: MoE scatter/topk-reduce chain, where one grouped tile contributes
     #: rows to several token segments)
     notify_counts: "object | None" = None
+    #: memoized static lookups by tile id: wait lists, channels, ranks
+    _waits: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _channels: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _ranks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     # -- derived metadata (exposed to kernels as channel.<field>) ----------------
 
@@ -97,7 +110,13 @@ class BlockChannel:
         return isinstance(self.producer_mapping, TableTileMapping)
 
     def consumer_wait_list(self, consumer_tid_m: int) -> list[tuple[int, int]]:
-        """(channel, threshold) pairs a consumer row-tile must wait on."""
+        """(channel, threshold) pairs a consumer row-tile must wait on.
+
+        Static answers are memoized: callers must not mutate the list.
+        """
+        waits = self._waits.get(consumer_tid_m)
+        if waits is not None:
+            return waits
         if self.consumer_mapping is not None:
             return self.consumer_mapping.wait_list_for_tile(consumer_tid_m)
         mapping = self.require_mapping()
@@ -106,13 +125,27 @@ class BlockChannel:
         if self.consumer_grid is None:
             raise LoweringError("consumer_tile_wait needs a consumer grid")
         lo, hi = self.consumer_grid.row_range(consumer_tid_m)
-        return [(c, t * self.threshold_scale) for c, t in mapping.wait_list(lo, hi)]
+        waits = [(c, t * self.threshold_scale) for c, t in mapping.wait_list(lo, hi)]
+        self._waits[consumer_tid_m] = waits
+        return waits
 
     def producer_channel(self, producer_tile_id: int) -> int:
-        return self.require_mapping().channel_of(producer_tile_id)
+        channel = self._channels.get(producer_tile_id)
+        if channel is None:
+            mapping = self.require_mapping()
+            channel = mapping.channel_of(producer_tile_id)
+            if isinstance(mapping, AffineTileMapping):
+                self._channels[producer_tile_id] = channel
+        return channel
 
     def producer_rank(self, producer_tile_id: int) -> int:
-        return self.require_mapping().rank_of(producer_tile_id)
+        rank = self._ranks.get(producer_tile_id)
+        if rank is None:
+            mapping = self.require_mapping()
+            rank = mapping.rank_of(producer_tile_id)
+            if isinstance(mapping, AffineTileMapping):
+                self._ranks[producer_tile_id] = rank
+        return rank
 
     def producer_range(self, producer_tile_id: int) -> tuple[int, int]:
         return self.require_mapping().shape_range(producer_tile_id)

@@ -76,6 +76,7 @@ class DistContext:
         consumer_mapping: TableTileMapping | None = None,
         threshold_scale: int = 1,
         comm_blocks: int = 0,
+        notify_counts: object | None = None,
     ) -> list[BlockChannel]:
         """Allocate barrier banks and build one BlockChannel per rank."""
         self._channel_count += 1
@@ -89,7 +90,7 @@ class DistContext:
             peers = self.heap.alloc_signals(f"{uname}.peer", peer_cells)
         channels = []
         for rank in range(self.world_size):
-            ch = BlockChannel(
+            channels.append(BlockChannel(
                 rank=rank,
                 num_ranks=self.world_size,
                 comm_blocks=comm_blocks,
@@ -99,11 +100,11 @@ class DistContext:
                 barriers=barriers[rank],
                 all_barriers=barriers,
                 all_peer_barriers=peers,
-            )
-            ch.notify_target = notify_target
-            ch.consumer_mapping = consumer_mapping
-            ch.threshold_scale = threshold_scale
-            channels.append(ch)
+                notify_target=notify_target,
+                consumer_mapping=consumer_mapping,
+                threshold_scale=threshold_scale,
+                notify_counts=notify_counts,
+            ))
         return channels
 
     # -- host-side primitives (Table 3) ----------------------------------------------

@@ -80,3 +80,86 @@ def test_banks_are_shared_across_ranks(ctx2):
     channels = _channels(ctx2)
     # rank 0's view of rank 1's bank is the same object rank 1 waits on
     assert channels[0].all_barriers[1] is channels[1].barriers
+
+
+def _paper_channels(monkeypatch):
+    """Every family's BlockChannels at its paper shape (world 8)."""
+    from repro import registry
+    from repro.bench.harness import make_ctx as bench_ctx
+    from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
+    from repro.runtime.context import DistContext
+
+    built = []
+    make = DistContext.make_block_channels
+
+    def capture(self, *args, **kwargs):
+        channels = make(self, *args, **kwargs)
+        built.append(channels)
+        return channels
+    monkeypatch.setattr(DistContext, "make_block_channels", capture)
+    registry.discover()
+    for fam in registry.families().values():
+        if fam.sweep_category == "attention":
+            attn = ATTENTION_BENCHES[0]
+            builders = fam.bench_builders()(attn, attn.seq_lens[0], 8)
+        elif fam.sweep_category == "moe":
+            builders = fam.bench_builders()(MOE_BENCHES[0], 8)
+        else:
+            builders = fam.bench_builders()(MLP_BENCHES[0], 8)
+        for build in builders.values():
+            build(bench_ctx(world=8))
+    return [ch for channels in built for ch in channels]
+
+
+def _answer(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared between memo and mapping
+        return type(exc), str(exc)
+
+
+def test_memoized_lookups_match_the_mappings(monkeypatch):
+    channels = _paper_channels(monkeypatch)
+    assert channels
+    for ch in channels:
+        mapping = ch.producer_mapping
+        if mapping is None:
+            continue
+        for t in range(mapping.n_tiles):
+            for _ in range(2):  # the first call fills the memo
+                assert _answer(lambda: ch.producer_channel(t)) == \
+                    _answer(lambda: mapping.channel_of(t))
+                assert _answer(lambda: ch.producer_rank(t)) == \
+                    _answer(lambda: mapping.rank_of(t))
+        table = ch.consumer_mapping or (
+            mapping if isinstance(mapping, TableTileMapping) else None)
+        if table is not None:
+            tids = range(table.n_tiles)
+
+            def direct(t):
+                return table.wait_list_for_tile(t)
+        elif ch.consumer_grid is not None:
+            tids = range(ch.consumer_grid.tiles_m)
+
+            def direct(t):
+                lo, hi = ch.consumer_grid.row_range(t)
+                return [(c, th * ch.threshold_scale)
+                        for c, th in mapping.wait_list(lo, hi)]
+        else:
+            continue
+        for t in tids:
+            for _ in range(2):
+                assert _answer(lambda: ch.consumer_wait_list(t)) == \
+                    _answer(lambda: direct(t))
+
+
+def test_table_mapping_lookups_follow_a_refill(ctx2):
+    table = TableTileMapping(2, 2, 2)
+    table.channel_threshold[:] = 3
+    table.fill(0, 0, 16, 0, 0)
+    ch = _channels(ctx2, mapping=table, consumer_mapping=table)[0]
+    assert (ch.producer_channel(0), ch.producer_rank(0)) == (0, 0)
+    assert ch.consumer_wait_list(0) == [(0, 3)]
+    table.fill(0, 16, 32, 1, 1)  # runtime routing refills the tables
+    assert (ch.producer_channel(0), ch.producer_rank(0)) == (1, 1)
+    assert ch.consumer_wait_list(0) == [(1, 3)]

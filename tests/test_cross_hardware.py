@@ -10,10 +10,12 @@ share, while fewer/slower tensor cores stretch the compute share.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from repro.config import A100, H800, SimConfig
+from repro.config import A100, H800, HardwareSpec, SimConfig
 from repro.kernels.ag_gemm import AgGemmConfig, ag_gemm_overlapped
 from repro.runtime.context import DistContext
 
@@ -72,3 +74,18 @@ def test_spec_knob_sweeps_monotonically():
         t, _ = _run(spec, numerics=False)
         times.append(t)
     assert times[0] < times[1] < times[2]
+
+
+_RATES = ("n_sms", "tensor_flops", "tensor_efficiency", "vector_flops",
+          "smem_bandwidth_per_sm")
+
+
+@pytest.mark.parametrize("value", [0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("field", _RATES)
+def test_spec_rejects_non_positive_rates(field, value):
+    """Kernels divide by these rates; a spec that would make a cost
+    infinite or NaN is refused at construction, naming the field."""
+    with pytest.raises(ValueError, match=rf"HardwareSpec\.{field} must be positive"):
+        H800.scaled(**{field: value})
+    with pytest.raises(ValueError, match=rf"HardwareSpec\.{field} must be positive"):
+        HardwareSpec(**{**asdict(H800), field: value})

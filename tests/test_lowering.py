@@ -20,7 +20,7 @@ from repro import registry
 from repro.bench.harness import make_ctx as bench_ctx
 from repro.compiler.interp import lower, lowered_source
 from repro.compiler.program import CompileOptions, compile_kernel
-from repro.errors import LoweringError, ShapeError, SimulationError
+from repro.errors import LoweringError, RuntimeLaunchError, ShapeError, SimulationError
 from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
@@ -312,6 +312,14 @@ def _return_in_aggregable_loop(a, out, N: tl.constexpr):
     tl.store(out, (0, N), (0, N), acc)
 
 
+@kernel
+def _negative_zeros_dot(a, out, N: tl.constexpr, K: tl.constexpr):
+    z = tl.zeros((K, N), "float32")
+    x = tl.load(a, (0, N), (0, N))
+    y = tl.dot(z, x)
+    tl.store(out, (0, N), (0, N), y)
+
+
 _ERRORS = [
     (_undefined_scalar, {"N": 4}, LoweringError),
     (_branch_defined, {"N": 4}, LoweringError),
@@ -321,6 +329,9 @@ _ERRORS = [
     (_dynamic_step_zero, {"N": 4}, SimulationError),
     (_primitive_without_channel, {"N": 4}, LoweringError),
     (_return_in_aggregable_loop, {"N": 4}, None),
+    # numpy rejects the negative dim in numeric mode; timing mode fails at
+    # the dot's cost (a negative tile has a complex efficiency)
+    (_negative_zeros_dot, {"N": 4, "K": -2}, {True: ValueError, False: TypeError}),
 ]
 
 
@@ -348,6 +359,8 @@ def test_errors_match_reference(monkeypatch, kdef, consts, expected, numerics):
         assert t == t_ref
         assert (out is None and out_ref is None) or np.array_equal(out, out_ref)
     else:
+        if isinstance(expected, dict):
+            expected = expected[numerics]
         assert lowered[0] is expected
         assert lowered == reference
 
@@ -399,3 +412,159 @@ def test_injected_fault_unwinds_a_block_like_the_reference(monkeypatch):
     assert t == t_ref
     assert np.array_equal(out, out_ref)
     assert not out[4:8].any()       # block 1's first tile was never stored
+
+
+# ---------------------------------------------------------------------------
+# static tile shapes: fallbacks stay exact, hoisting is once per block
+# ---------------------------------------------------------------------------
+
+
+@kernel
+def _dynamic_extent(table, a, out, N: tl.constexpr):
+    n = tl.load_scalar(table, 0)
+    acc = tl.zeros((N, N), "float32")
+    for k in range(0, 3):
+        x = tl.load(a, (0, N), (0, n))
+        y = tl.load(a, (0, n), (0, N))
+        acc += tl.dot(x, y)
+    tl.store(out, (0, N), (0, N), acc)
+
+
+@kernel
+def _peer_rows(a, out, N: tl.constexpr, PEER: tl.constexpr):
+    acc = tl.zeros((N, N), "float32")
+    for k in range(0, 3):
+        x = tl.load(a[PEER], (k, k + N), (0, N))
+        y = tl.load(a, (k, k + N), (0, N))
+        acc += x + y
+    tl.store(out, (0, N), (0, N), acc)
+
+
+@kernel
+def _acc_rows(a, out, N: tl.constexpr):
+    acc = tl.zeros((N, N), "float32")
+    for k in range(0, 3):
+        x = tl.load(a, (k, k + N), (0, N))
+        acc += tl.dot(x, x)
+    tl.store(out, (0, N), (0, N), acc)
+
+
+def _launch_each(kdef, world, arrays, per_rank, mode):
+    """Launch ``kdef`` once per rank with ``per_rank(ctx, rank)``'s
+    arguments; returns end time, every output and the trace."""
+    ctx = make_ctx(world=world, numerics=mode == "numeric",
+                   trace=mode == "traced")
+    for name, arr in arrays.items():
+        ctx.bind(name, [arr.copy() for _ in range(world)])
+    ctx.alloc("out", (4, 4), "float32")
+    for rank in range(world):
+        launch_kernel(ctx.machine, kdef, 2, rank, per_rank(ctx, rank),
+                      options=CompileOptions(validate=False))
+    t = ctx.run()
+    outs = [ctx.heap.tensor("out", r).data for r in range(world)]
+    return t, outs, list(ctx.machine.trace.intervals)
+
+
+def _rows(ctx, rank):
+    return {"a": ctx.heap.tensors("a"), "out": ctx.heap.tensors("out"), "N": 4}
+
+
+_FALLBACKS = {
+    # extents read from a tensor: no static shape, the general form
+    "dynamic_extent": (_dynamic_extent, 1, lambda ctx, rank: {
+        **_rows(ctx, rank), "table": ctx.heap.tensors("table")}),
+    # a rank=-indexed load inside an aggregable loop stays per tile
+    "peer_rows": (_peer_rows, 2, lambda ctx, rank: {
+        **_rows(ctx, rank), "PEER": 1}),
+    # a parameter bound to another rank's instance: the local-tensor
+    # guard fails and the probe runs per tile, reading remotely
+    "remote_instance": (_acc_rows, 2, lambda ctx, rank: {
+        **_rows(ctx, rank), "a": ctx.heap.tensor("a", 1 - rank)}),
+    "static": (_acc_rows, 2, _rows),
+}
+
+
+@pytest.mark.parametrize("mode", ["timing", "traced", "numeric"])
+@pytest.mark.parametrize("case", sorted(_FALLBACKS))
+def test_static_shape_fallbacks_match_reference(monkeypatch, case, mode):
+    kdef, world, per_rank = _FALLBACKS[case]
+    rng = np.random.default_rng(5)
+    arrays = {"a": rng.standard_normal((8, 4)).astype(np.float32),
+              "table": np.array([2, 0], dtype=np.int64)}
+    (t, outs, trace), (t_ref, outs_ref, trace_ref) = both(
+        monkeypatch, lambda: _launch_each(kdef, world, arrays, per_rank, mode))
+    assert t == t_ref
+    assert trace == trace_ref
+    for a, b in zip(outs, outs_ref):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    if mode == "traced":
+        assert trace
+
+
+_BAD_BINDINGS = {
+    "missing": lambda ctx: None,
+    "not_a_tensor": lambda ctx: "a",
+    "rank_out_of_range": lambda ctx: ctx.heap.tensors("a")[:1],
+    # no prologue read: the op's general form meets the string itself
+    "list_of_non_tensors": lambda ctx: ["a", "a"],
+}
+
+
+@pytest.mark.parametrize("numerics", [True, False], ids=["numeric", "timing"])
+@pytest.mark.parametrize("param", ["a", "out"])
+@pytest.mark.parametrize("bad", sorted(_BAD_BINDINGS))
+def test_hoisted_op_binding_errors_match_reference(monkeypatch, bad, param,
+                                                   numerics):
+    """A bad binding of a hoisted load (``a``) or store (``out``) raises
+    at the op, as under the walker, not in the block prologue."""
+    def run():
+        ctx = make_ctx(world=2, numerics=numerics)
+        ctx.bind("a", [np.ones((8, 4), np.float32)] * 2)
+        ctx.alloc("out", (4, 4), "float32")
+        args = {**_rows(ctx, 1), param: _BAD_BINDINGS[bad](ctx)}
+        launch_kernel(ctx.machine, _acc_rows, 1, 1, args,
+                      options=CompileOptions(validate=False))
+        return ctx.run()
+
+    lowered, reference = both(monkeypatch, lambda: outcome(run))
+    assert lowered == reference
+    if bad != "list_of_non_tensors":
+        assert lowered[0] is RuntimeLaunchError
+
+
+def test_static_costs_are_computed_once_per_block(monkeypatch):
+    """Paper-shape GEMM+RS (MLP-1, world 8): the dot's tile efficiency and
+    the affine mapping lookups are paid per block, not per tile."""
+    from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_overlapped
+    from repro.mapping.static import AffineTileMapping
+    from repro.sim.costmodel import CostModel
+
+    calls = {}
+
+    def counted(cls, name):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(CostModel, "tile_efficiency")
+    for name in ("channel_of", "rank_of", "wait_list"):
+        counted(AffineTileMapping, name)
+    world, shape = 8, MLP_BENCHES[0]
+    cfg = GemmRsConfig(m=shape.s, n=shape.h, k=shape.i // world)
+    ctx = bench_ctx(world=world)
+    ctx.bind("x", [np.zeros((cfg.m, cfg.k), np.float16)] * world)
+    ctx.bind("w", [np.zeros((cfg.k, cfg.n), np.float16)] * world)
+    ctx.alloc("out", (cfg.m // world, cfg.n), "float32")
+    gemm_rs_overlapped(ctx, cfg, "x", "w", "out")
+    ctx.run()
+    blocks = sum(p.name.endswith("]") and "b" in p.name.rsplit("[", 1)[-1]
+                 for p in ctx.machine.sim._procs)
+    tiles_m = cfg.m // cfg.block_m
+    assert world * tiles_m * (cfg.n // cfg.block_n) > 4 * blocks
+    assert 0 < calls["tile_efficiency"] <= blocks
+    # memoized: once per rank and tile id
+    assert 0 < calls["channel_of"] + calls.get("rank_of", 0) <= world * tiles_m
+    assert 0 < calls["wait_list"] <= world * (cfg.m // cfg.block_mr)
