@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -115,7 +116,9 @@ def _reject_constant(token: str) -> float:
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float (``json.load`` reads ``1e999`` as ``inf``)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def _validate_against(rows: object, schema: dict[str, tuple],
@@ -151,6 +154,9 @@ def _validate_against(rows: object, schema: dict[str, tuple],
                     isinstance(value, bool) and bool not in concrete):
                 errors.append(f"row {i}: field {field!r} has wrong type "
                               f"{type(value).__name__}")
+            elif isinstance(value, float) and not math.isfinite(value):
+                errors.append(f"row {i}: field {field!r} is not finite "
+                              f"({value!r})")
         errors.extend(row_check(i, row))
     return errors
 

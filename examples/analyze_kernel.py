@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import copy
 
-from repro.analyze import analyze_plan, build_ag_gemm_plan
+from repro.analyze import analyze_plan
 from repro.compiler.program import compile_kernel
 from repro.errors import AnalysisError
-from repro.kernels.ag_gemm import _ag_pull_producer
+from repro.kernels.ag_gemm import _ag_pull_producer, build_ag_gemm_plan
 from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.lang.ir import Primitive

@@ -13,16 +13,19 @@ Quickstart — the fastest path to your own kernel family:
    that wires mappings, channels and the SPMD launch;
 3. describe the design space as a ``SearchSpace`` and build a
    ``TuneTask`` over it, so ``repro.tuner.tune(task)`` can search it;
-4. mirror the launch as an analyzer plan (``PlanBuilder``) so the
-   static synchronization verifier can prove it deadlock/race-free;
-5. make ONE ``repro.registry.register_family()`` call from this module.
+4. make ONE ``repro.registry.register_family()`` call from this module.
 
-After step 5 every consumer resolves the family through the registry
+After step 4 every consumer resolves the family through the registry
 with zero edits anywhere else: ``python -m repro.registry --list`` shows
 it, ``repro.analyze`` sweeps its plans, ``fam.tune_task()`` hands the
-tuner its task, the bench harness gets its builders.  A family can also contribute a serving
-``method`` (see ``repro/kernels/chunk_gemm_rs.py``, which registers
-``"tilelink-chunk"`` the same way and appears in ``models.runner``).
+tuner its task, the bench harness gets its builders.  The analyzer plans
+need no hand-written mirror of the launch: each ``analyze_plans`` thunk
+(``record_ag_softmax_plan`` below) runs the step-2 launcher itself at a
+small size against a recording ``PlanContext``, so the static
+synchronization verifier checks the launch that actually runs.  A family
+can also contribute a serving ``method`` (see
+``repro/kernels/chunk_gemm_rs.py``, which registers ``"tilelink-chunk"``
+the same way and appears in ``models.runner``).
 
 Run:  python examples/custom_overlapped_kernel.py
 """
@@ -41,7 +44,6 @@ from repro.lang.dsl import kernel
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.registry import get_family, register_family
-from repro.runtime.launcher import launch_spmd
 from repro.tuner.search import TuneTask, tune
 from repro.tuner.space import Axis, SearchSpace, divisors_of
 
@@ -123,7 +125,7 @@ def ag_softmax_overlapped(ctx: DistContext, cfg: AgSoftmaxConfig,
     channels = ctx.make_block_channels(
         tag, mapping=mapping, comm_grid=grid2d, consumer_grid=grid2d,
         comm_blocks=cfg.comm_blocks)
-    launch_spmd(ctx.machine, ag_softmax, grid=grid, args=dict(
+    ctx.launch(ag_softmax, grid, dict(
         shards=ctx.heap.tensors(shards_name),
         gathered=ctx.heap.tensors(gathered_name),
         out=ctx.heap.tensors(out_name), channel=channels,
@@ -166,31 +168,7 @@ def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD) -> TuneTask:
 
 
 # ---------------------------------------------------------------------------
-# Step 4 — analyzer plan: the launch mirrored over abstract banks
-# ---------------------------------------------------------------------------
-
-def build_ag_softmax_plan(world: int = 2):
-    from repro.analyze.model import PlanBuilder
-
-    m, n, bm, comm_blocks = world * 32, 16, 16, 2
-    b = PlanBuilder(f"ag_softmax/w{world}", "ag_softmax", world)
-    b.tensor("shards", (m // world, n))
-    b.tensor("gathered", (m, n))
-    b.tensor("out", (m, n))
-    mapping = AffineTileMapping(m, bm, world)
-    grid2d = TileGrid(m, n, bm, n)
-    channels = b.make_block_channels(
-        "agsm", mapping=mapping, comm_grid=grid2d, consumer_grid=grid2d,
-        comm_blocks=comm_blocks)
-    b.launch(ag_softmax, 6,
-             dict(M=m, N=n, BM=bm, COMM_BLOCKS=comm_blocks),
-             dict(shards="shards", gathered="gathered", out="out"),
-             channels)
-    return b.build()
-
-
-# ---------------------------------------------------------------------------
-# Step 5 — ONE registration; every consumer resolves it from here
+# Step 4 — ONE registration; every consumer resolves it from here
 # ---------------------------------------------------------------------------
 
 def ag_softmax_builders(shape, world: int = WORLD, **_kw):
@@ -206,6 +184,21 @@ def ag_softmax_builders(shape, world: int = WORLD, **_kw):
     return {"TileLink-fused": fused}
 
 
+def record_ag_softmax_plan(world: int):
+    """The analyzer plan: the real launcher, recorded at a small size."""
+    from repro.analyze.model import PlanContext
+
+    m, n = world * 32, 16
+    ctx = PlanContext(f"ag_softmax/w{world}", "ag_softmax", world)
+    ctx.alloc("x", (m // world, n), "float16")
+    ctx.alloc("g", (m, n), "float16")
+    ctx.alloc("y", (m, n), "float32")
+    ag_softmax_overlapped(ctx, AgSoftmaxConfig(m=m, n=n, block_m=16,
+                                               comm_blocks=2),
+                          "x", "g", "y", grid=6)
+    return ctx.build()
+
+
 register_family(
     name="ag_softmax",
     doc="example: fused AllGather + row softmax (tile-pull producer)",
@@ -213,8 +206,8 @@ register_family(
     kernels=(ag_softmax,),
     launch=ag_softmax_overlapped,
     tune_task=lambda: ag_softmax_tune_task(256, 64),
-    analyze_plans=lambda: [lambda: build_ag_softmax_plan(world=2),
-                           lambda: build_ag_softmax_plan(world=4)],
+    analyze_plans=lambda: [lambda: record_ag_softmax_plan(world=2),
+                           lambda: record_ag_softmax_plan(world=4)],
     bench_builders=lambda: ag_softmax_builders,
     worlds=(2, 4),
 )

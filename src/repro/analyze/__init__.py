@@ -22,17 +22,13 @@ from repro.analyze.model import (
     AbstractBank,
     Event,
     LaunchPlan,
-    PlanBuilder,
+    PlanContext,
     Site,
     Thread,
 )
 from repro.analyze.registry import (
     FAMILIES,
     analyze_registered,
-    build_ag_gemm_plan,
-    build_ag_moe_plan,
-    build_gemm_rs_plan,
-    build_moe_rs_plan,
     check_compiled_ir,
     structural_check_ir,
 )
@@ -44,7 +40,7 @@ __all__ = [
     "FAMILIES",
     "Finding",
     "LaunchPlan",
-    "PlanBuilder",
+    "PlanContext",
     "RULES",
     "Report",
     "SignalFlow",
@@ -52,10 +48,6 @@ __all__ = [
     "Thread",
     "analyze_plan",
     "analyze_registered",
-    "build_ag_gemm_plan",
-    "build_ag_moe_plan",
-    "build_gemm_rs_plan",
-    "build_moe_rs_plan",
     "check_compiled_ir",
     "check_coverage",
     "check_races",

@@ -6,22 +6,38 @@ trace of :class:`Event` records — signal waits/posts, tile reads/writes,
 barriers — obtained by abstractly interpreting the kernel IR at a small
 concrete instantiation (world size, tile-grid shape).
 
+Plans are *recorded*, not hand-written: :class:`PlanContext` is a
+:class:`~repro.runtime.context.DistContext` whose launches, streams and
+host-side primitives record instead of simulate, so a family's own
+``*_overlapped`` launcher, run against it, produces the plan.  Kernel
+launches are kept for abstract interpretation; host generators enqueued on
+a stream (``dma_all_gather``, the scatter procs) run to completion on the
+spot, and their ``rank_copy_data`` / ``rank_wait`` / ``post_add`` calls
+become the host thread's events.
+
 Signals live in :class:`AbstractBank` objects.  A bank is a *name*, an
 owning rank, and a cell count — it deliberately implements ``__len__`` so
 it can be dropped into a real :class:`~repro.lang.block_channel.BlockChannel`
-where the runtime would hold a ``SignalArray``; all of the channel's
-tile-to-channel/threshold metadata resolution is then reused verbatim.
+where the runtime would hold a ``SignalArray``; channels are built by the
+runtime's own ``make_block_channels``, so all of the channel's
+tile-to-channel/threshold metadata resolution is reused verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any
 
-from repro.lang.block_channel import BlockChannel
-from repro.mapping.dynamic import TableTileMapping
-from repro.mapping.layout import TileGrid
-from repro.mapping.static import AffineTileMapping
+from repro.compiler.program import CompileOptions
+from repro.config import SimConfig
+from repro.errors import AnalysisError
+from repro.lang.dsl import KernelDef
+from repro.lang.ir import KernelIR
+from repro.memory.symmetric import SymmetricHeap
+from repro.memory.tensor import SimTensor
+from repro.runtime.context import DistContext, Ranges
+from repro.sim.engine import ProcessGen
 
 #: lattice top for scalar abstract values
 UNKNOWN = object()
@@ -31,12 +47,18 @@ BankKey = tuple[str, int]
 
 
 class AbstractBank:
-    """Stand-in for a ``SignalArray``: identity + size, no state."""
+    """Stand-in for a ``SignalArray``: identity + size, no state.
 
-    def __init__(self, name: str, rank: int, size: int):
+    A host-side ``post_add`` records a notify into the host thread its
+    :class:`PlanContext` is running.
+    """
+
+    def __init__(self, name: str, rank: int, size: int,
+                 host: "_HostRecorder"):
         self.name = name
         self.rank = rank
         self.size = size
+        self.host = host
 
     def __len__(self) -> int:
         return self.size
@@ -44,6 +66,10 @@ class AbstractBank:
     @property
     def key(self) -> BankKey:
         return (self.name, self.rank)
+
+    def post_add(self, index: int, amount: int, from_rank: int) -> None:
+        self.host.event("notify", f"post_add cell {index} += {amount}",
+                        bank=self.key, cell=index, amount=amount)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AbstractBank {self.name}@{self.rank} x{self.size}>"
@@ -107,40 +133,6 @@ class Thread:
     scope: str = ""
 
 
-class HostTrace:
-    """Recorder for a host-side comm thread (DMA / copy-engine proc)."""
-
-    def __init__(self, label: str, rank: int):
-        self.label = label
-        self.rank = rank
-        self.events: list[Event] = []
-
-    def _site(self, detail: str) -> Site:
-        return Site(self.label, None, detail)
-
-    def wait(self, bank: AbstractBank, cell: int, threshold: int) -> None:
-        self.events.append(Event(
-            "wait", self._site(f"rank_wait cell {cell} >= {threshold}"),
-            bank=bank.key, cell=cell, threshold=threshold))
-
-    def notify(self, bank: AbstractBank, cell: int, amount: int = 1) -> None:
-        self.events.append(Event(
-            "notify", self._site(f"rank_notify cell {cell} += {amount}"),
-            bank=bank.key, cell=cell, amount=amount))
-
-    def read(self, tensor: str, rank: int, rows: tuple[int, int],
-             cols: tuple[int, int]) -> None:
-        self.events.append(Event(
-            "read", self._site(f"rank_copy_data read {tensor}@{rank}"),
-            tensor=tensor, rank=rank, rows=rows, cols=cols))
-
-    def write(self, tensor: str, rank: int, rows: tuple[int, int],
-              cols: tuple[int, int]) -> None:
-        self.events.append(Event(
-            "write", self._site(f"rank_copy_data write {tensor}@{rank}"),
-            tensor=tensor, rank=rank, rows=rows, cols=cols))
-
-
 @dataclass
 class LaunchPlan:
     """A fully-instantiated abstract execution: threads + declared outputs."""
@@ -156,16 +148,77 @@ class LaunchPlan:
     notes: list[str] = field(default_factory=list)
 
 
-class PlanBuilder:
-    """Builds a :class:`LaunchPlan`, mirroring ``DistContext`` channel and
-    stream semantics (same-stream launches serialize; banks are shared)."""
+class _HostRecorder:
+    """The host thread a :class:`PlanContext` is running, if any.
 
-    def __init__(self, name: str, family: str, world: int):
+    Shared by the context and its banks; it refers back to neither, so a
+    recorded context is freed without a cycle collection.
+    """
+
+    def __init__(self):
+        self.thread: Thread | None = None
+
+    def event(self, kind: str, detail: str, **fields: Any) -> None:
+        if self.thread is None:
+            raise AnalysisError(
+                f"host-side {kind} ({detail}) outside an enqueued host "
+                "generator")
+        self.thread.events.append(
+            Event(kind, Site(self.thread.kernel, None, detail), **fields))
+
+
+class _PlanHeap(SymmetricHeap):
+    """Symmetric heap of shape-only tensors and abstract signal banks."""
+
+    def __init__(self, machine: SimpleNamespace, host: _HostRecorder):
+        super().__init__(machine)
+        self.host = host
+
+    def alloc_signals(self, name: str, n: int) -> list[AbstractBank]:
+        return [AbstractBank(name, r, n, self.host)
+                for r in range(self.machine.world_size)]
+
+
+class _PlanStream:
+    """A (rank, stream) of a :class:`PlanContext`: enqueue records."""
+
+    def __init__(self, ctx: "PlanContext", rank: int, name: str):
+        self.ctx = ctx
+        self.rank = rank
         self.name = name
-        self.family = family
-        self.world = world
-        self.plan = LaunchPlan(name=name, family=family, world=world)
+
+    def enqueue(self, gen: ProcessGen, name: str | None = None) -> None:
+        self.ctx.record_host(self.rank, self.name, name or self.name, gen)
+
+
+def _plan_shape(t: SimTensor) -> tuple[int, int]:
+    """Per-rank (rows, cols) of a tensor; 1-d tables are one column."""
+    return t.shape if len(t.shape) == 2 else (t.shape[0], 1)
+
+
+class PlanContext(DistContext):
+    """Records a :class:`LaunchPlan` from a real launcher.
+
+    Implements the part of :class:`DistContext` the ``*_overlapped``
+    launchers use — ``alloc``/``bind``/``heap.tensors``,
+    ``make_block_channels``, ``launch`` and ``stream(...).enqueue`` — with
+    DistContext's stream semantics: launches and host procs on one
+    (rank, stream) serialize, and banks are shared across ranks.
+
+    ``ir_overrides`` maps a kernel name to the IR interpreted in place of
+    the shipped one (the mutant tests plant bugs this way).
+    """
+
+    def __init__(self, name: str, family: str, world: int, *,
+                 ir_overrides: dict[str, KernelIR] | None = None):
+        self.machine = SimpleNamespace(
+            world_size=world,
+            config=SimConfig(world_size=world, execute_numerics=False))
+        self.host = _HostRecorder()
+        self.heap = _PlanHeap(self.machine, self.host)
         self._channel_count = 0
+        self.plan = LaunchPlan(name=name, family=family, world=world)
+        self.ir_overrides = ir_overrides or {}
         self._launch_count = 0
         #: (rank, stream) -> group label of the last enqueued work
         self._stream_tail: dict[tuple[int, str], str] = {}
@@ -173,58 +226,11 @@ class PlanBuilder:
         self._closure: dict[str, frozenset[str]] = {}
         self._pending: list[tuple] = []   # deferred kernel launches
 
-    # -- channels (mirrors DistContext.make_block_channels) -----------------
-
-    def make_block_channels(
-        self,
-        name: str,
-        mapping: AffineTileMapping | TableTileMapping | None = None,
-        comm_grid: TileGrid | None = None,
-        consumer_grid: TileGrid | None = None,
-        peer_cells: int = 0,
-        notify_target: str = "local",
-        consumer_mapping: TableTileMapping | None = None,
-        threshold_scale: int = 1,
-        comm_blocks: int = 0,
-        notify_counts: object | None = None,
-    ) -> list[BlockChannel]:
-        self._channel_count += 1
-        uname = f"{name}.{self._channel_count}"
-        n_channels = 1 if mapping is None else mapping.n_channels
-        barriers = [AbstractBank(f"{uname}.bar", r, max(1, n_channels))
-                    for r in range(self.world)]
-        peers: list[AbstractBank] = []
-        if peer_cells > 0:
-            peers = [AbstractBank(f"{uname}.peer", r, peer_cells)
-                     for r in range(self.world)]
-        channels = []
-        for rank in range(self.world):
-            channels.append(BlockChannel(
-                rank=rank,
-                num_ranks=self.world,
-                comm_blocks=comm_blocks,
-                comm_grid=comm_grid,
-                consumer_grid=consumer_grid,
-                producer_mapping=mapping,
-                barriers=barriers[rank],
-                all_barriers=barriers,
-                all_peer_barriers=peers,
-                notify_target=notify_target,
-                consumer_mapping=consumer_mapping,
-                threshold_scale=threshold_scale,
-                notify_counts=notify_counts,
-            ))
-        return channels
-
-    # -- tensors ------------------------------------------------------------
-
-    def tensor(self, name: str, shape: tuple[int, int]) -> str:
-        self.plan.tensors[name] = shape
-        return name
+    # -- outputs and notes --------------------------------------------------
 
     def output(self, name: str) -> None:
-        if name not in self.plan.tensors:
-            raise KeyError(f"output {name!r} has no declared shape")
+        """Declare a tensor whose full per-rank extent must be written."""
+        self.heap.tensors(name)   # raises on an unknown tensor
         if name not in self.plan.outputs:
             self.plan.outputs.append(name)
 
@@ -247,32 +253,73 @@ class PlanBuilder:
         self._stream_tail[(rank, stream)] = group
         return group
 
-    def launch(self, kdef: Any, grid: int, constexprs: dict[str, Any],
-               tensors: dict[str, str], channels: list[BlockChannel],
-               stream: str = "default", ir: Any = None,
+    def stream(self, rank: int, name: str = "default") -> _PlanStream:
+        return _PlanStream(self, rank, name)
+
+    def launch(self, kdef: KernelDef, grid: int, args: dict[str, Any], *,
+               options: CompileOptions | None = None,
+               stream_name: str = "default",
                label: str | None = None) -> None:
-        """Record an SPMD launch (one group per rank, like launch_spmd)."""
+        """Record an SPMD launch (one group per rank, like DistContext)."""
+        ir = kdef.ir
         label = label or kdef.name
+        constexprs = {p: args[p] for p in ir.constexpr_params if p in args}
+        # kernel param -> plan tensor name (args hold per-rank tensor lists)
+        skip = {*ir.constexpr_params, ir.channel_param}
+        tensors = {p: args[p][0].name for p in ir.params if p not in skip}
+        channels = args.get(ir.channel_param)
         for p in kdef.meta.get("outputs", ()):
             if p in tensors:
                 self.output(tensors[p])
         self._launch_count += 1
         scope = f"{label}/{self._launch_count}"
-        for rank in range(self.world):
-            group = self._enqueue(rank, stream, f"{label}[r{rank}]")
+        kir = self.ir_overrides.get(kdef.name, ir)
+        for rank in range(self.world_size):
+            group = self._enqueue(rank, stream_name, f"{label}[r{rank}]")
+            channel = channels[rank] if channels is not None else None
             self._pending.append(
-                (kdef, ir, grid, constexprs, dict(tensors),
-                 channels[rank], rank, group, scope))
+                (kdef.name, kir, grid, constexprs, tensors, channel, rank,
+                 group, scope))
 
-    def host(self, rank: int, label: str, stream: str = "comm") -> HostTrace:
-        """Record a host-side comm thread; returns its event recorder."""
-        trace = HostTrace(label, rank)
+    # -- host threads -----------------------------------------------------------
+
+    def record_host(self, rank: int, stream: str, label: str,
+                    gen: ProcessGen) -> None:
+        """Run a host generator to completion into one host thread.
+
+        Its ``rank_copy_data`` / ``rank_wait`` / bank ``post_add`` calls
+        become events; anything else it yields (a delay) is dropped.
+        """
         group = self._enqueue(rank, stream, label)
-        thread = Thread(key=f"{label}@{rank}", kernel=label, rank=rank,
-                        group=group, events=trace.events,
-                        after=self._closure[group], scope=group)
-        self.plan.threads.append(thread)
-        return trace
+        self.host.thread = Thread(
+            key=f"{label}@{rank}", kernel=label, rank=rank, group=group,
+            after=self._closure[group], scope=group)
+        try:
+            for _ in gen:
+                pass
+            self.plan.threads.append(self.host.thread)
+        finally:
+            self.host.thread = None
+
+    def rank_copy_data(self, name: str, src_rank: int, dst_rank: int,
+                       src_ranges: Ranges, dst_ranges: Ranges,
+                       src_name: str | None = None) -> ProcessGen:
+        src = src_name or name
+        self.host.event("read", f"rank_copy_data read {src}@{src_rank}",
+                        tensor=src, rank=src_rank, rows=src_ranges[0],
+                        cols=src_ranges[1])
+        self.host.event("write", f"rank_copy_data write {name}@{dst_rank}",
+                        tensor=name, rank=dst_rank, rows=dst_ranges[0],
+                        cols=dst_ranges[1])
+        return
+        yield  # pragma: no cover - generator marker
+
+    def rank_wait(self, bank: AbstractBank, index: int, threshold: int,
+                  host_synced: bool = False) -> ProcessGen:
+        self.host.event("wait", f"rank_wait cell {index} >= {threshold}",
+                        bank=bank.key, cell=index, threshold=threshold)
+        return
+        yield  # pragma: no cover - generator marker
 
     # -- build ----------------------------------------------------------------
 
@@ -281,22 +328,20 @@ class PlanBuilder:
         plan plus any findings raised during interpretation."""
         from repro.analyze.absint import interpret_launch
 
+        self.plan.tensors = {name: _plan_shape(self.heap.tensors(name)[0])
+                             for name in self.heap.names()}
         findings: list = []
-        for (kdef, ir, grid, constexprs, tensors, channel, rank,
+        for (kname, kir, grid, constexprs, tensors, channel, rank,
              group, scope) in self._pending:
-            kir = ir if ir is not None else kdef.ir
             for bid in range(grid):
                 events, fs = interpret_launch(
                     kir, constexprs, channel, tensors, self.plan.tensors,
-                    rank=rank, bid=bid, grid=grid, world=self.world)
+                    rank=rank, bid=bid, grid=grid, world=self.world_size)
                 findings.extend(fs)
                 self.plan.threads.append(Thread(
-                    key=f"{kdef.name}[r{rank}b{bid}]#{group}",
-                    kernel=kdef.name, rank=rank, group=group,
+                    key=f"{kname}[r{rank}b{bid}]#{group}",
+                    kernel=kname, rank=rank, group=group,
                     events=events, after=self._closure[group],
                     scope=scope))
         self._pending = []
-        # host threads recorded before later launches captured a stale
-        # closure only if the host was enqueued first — recompute nothing:
-        # closures were frozen at enqueue time, matching stream semantics.
         return self.plan, findings

@@ -24,11 +24,13 @@ def dma_all_gather(
     stream_name: str = "comm",
     segment_notifies: int = 1,
 ) -> list[Process]:
-    """Pull-mode AllGather on copy engines, one segment signal per shard.
+    """Pull-mode AllGather on copy engines, signalling per shard.
 
     Rank ``r`` copies its own shard locally, then pulls every peer shard
     ``q`` into rows ``[q*m, (q+1)*m)`` of its gathered buffer, posting
-    ``banks[r][q] += segment_notifies`` as each shard lands.  Consumers
+    ``segment_notifies`` to each of segment ``q``'s cells as the shard
+    lands: cells ``[q*c, (q+1)*c)`` of a bank with ``c`` cells per rank
+    (a mapping with ``c`` channels per rank).  Consumers
     (e.g. a GEMM kernel whose BlockChannel points at the same banks) start
     on a shard's tiles as soon as its signal arrives — communication and
     computation overlap with no SM cost for the copies.
@@ -36,8 +38,7 @@ def dma_all_gather(
     ``segment_notifies`` lets the publisher match whatever per-channel
     threshold the consumer's mapping expects.
     """
-    machine = ctx.machine
-    world = machine.world_size
+    world = ctx.world_size
     shards = ctx.heap.tensors(src_name)
     dsts = ctx.heap.tensors(dst_name)
     m, cols = shards[0].shape
@@ -55,11 +56,13 @@ def dma_all_gather(
                 dst_ranges=((q * m, (q + 1) * m), (0, cols)),
                 src_name=src_name)
             if banks is not None:
-                banks[rank].post_add(q, segment_notifies, from_rank=rank)
+                cells = len(banks[rank]) // world
+                for c in range(q * cells, (q + 1) * cells):
+                    banks[rank].post_add(c, segment_notifies, from_rank=rank)
         return None
 
     return [
-        machine.stream(rank, stream_name).enqueue(
+        ctx.stream(rank, stream_name).enqueue(
             rank_proc(rank), name=f"dma.ag.{src_name}[{rank}]")
         for rank in range(world)
     ]
@@ -80,8 +83,7 @@ def dma_scatter_segments(
     from every peer at rows ``[r*seg, (r+1)*seg)`` of its landing buffer
     and gets ``banks[q][r]`` posted per arrival.
     """
-    machine = ctx.machine
-    world = machine.world_size
+    world = ctx.world_size
     srcs = ctx.heap.tensors(src_name)
     dsts = ctx.heap.tensors(dst_name)
     rows, cols = srcs[0].shape
@@ -105,7 +107,7 @@ def dma_scatter_segments(
         return None
 
     return [
-        machine.stream(rank, stream_name).enqueue(
+        ctx.stream(rank, stream_name).enqueue(
             rank_proc(rank), name=f"dma.scatter.{src_name}[{rank}]")
         for rank in range(world)
     ]

@@ -32,7 +32,6 @@ from repro.mapping.static import AffineTileMapping
 from repro.config import H800, HardwareSpec
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_gemm_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of
@@ -201,12 +200,11 @@ def ag_gemm_search_space(m: int, n: int, k: int, world: int) -> SearchSpace:
 
 
 def ag_gemm_tune_task(m: int, n: int, k: int, *, world: int = 8,
-                      spec: HardwareSpec = H800,
-                      space: SearchSpace | None = None):
+                      spec: HardwareSpec = H800):
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+GEMM on a shape."""
     from repro.tuner.search import TuneTask
 
-    space = space or ag_gemm_search_space(m, n, k, world)
+    space = ag_gemm_search_space(m, n, k, world)
 
     def make_builder(cand: dict):
         cfg = AgGemmConfig(m=m, n=n, k=k, **cand)
@@ -248,11 +246,9 @@ def ag_gemm_overlapped(
     caller provides the input shards (m/world x k), the weight shard
     (k x n) and the output (m x n).
     """
-    machine = ctx.machine
-    world = machine.world_size
+    world = ctx.world_size
     cfg.validate(world)
-    spec = machine.config.spec
-    grid = grid or spec.n_sms
+    grid = grid or ctx.machine.config.spec.n_sms
 
     gathered_name = gathered_name or f"{tag}.gathered"
     ctx.alloc(gathered_name, (cfg.m, cfg.k), "float16", fill=None)
@@ -284,31 +280,52 @@ def ag_gemm_overlapped(
                        stream_name="comm",
                        segment_notifies=mapping.tiles_per_channel)
     elif cfg.mode == "pull":
-        launch_spmd(machine, _ag_pull_producer, grid, dict(
+        ctx.launch(_ag_pull_producer, grid, dict(
             shards=ctx.heap.tensors(shards_name),
             gathered=ctx.heap.tensors(gathered_name),
             channel=channels, M=cfg.m, K=cfg.k, BMP=cfg.block_mp,
             COMM_BLOCKS=cfg.comm_blocks,
         ), options=options, stream_name="comm", label=f"{tag}.pull")
     else:  # push
-        launch_spmd(machine, _ag_push_producer, grid, dict(
+        ctx.launch(_ag_push_producer, grid, dict(
             shards=ctx.heap.tensors(shards_name),
             gathered=ctx.heap.tensors(gathered_name),
             channel=channels, M=cfg.m, K=cfg.k, BMP=cfg.block_mp,
             COMM_BLOCKS=cfg.comm_blocks, WORLD=world,
         ), options=options, stream_name="comm", label=f"{tag}.push")
 
-    return launch_spmd(machine, _ag_consumer_gemm, grid, args_common,
-                       options=options, label=f"{tag}.gemm")
+    return ctx.launch(_ag_consumer_gemm, grid, args_common,
+                      options=options, label=f"{tag}.gemm")
 
 
 # ---------------------------------------------------------------------------
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _analyze_plans():
-    from repro.analyze.registry import build_ag_gemm_plan as p
+def build_ag_gemm_plan(world: int = 2, mode: str = "dma", *,
+                       block_m: int = 16, channels_per_rank: int = 1,
+                       ir_overrides: dict | None = None,
+                       name: str | None = None):
+    """Record the analyzer plan of a small :func:`ag_gemm_overlapped`."""
+    from repro.analyze.model import PlanContext
 
+    m, n, k = world * 32, 32, 32
+    ctx = PlanContext(name or f"ag_gemm/{mode}/w{world}", "ag_gemm", world,
+                      ir_overrides=ir_overrides)
+    ctx.alloc("x", (m // world, k), "float16")
+    ctx.alloc("w", (k, n), "float16")
+    ctx.alloc("y", (m, n), "float16")
+    cfg = AgGemmConfig(m=m, n=n, k=k, block_m=block_m, block_n=16,
+                       block_k=16, block_mp=16, comm_blocks=2,
+                       channels_per_rank=channels_per_rank, mode=mode)
+    ag_gemm_overlapped(ctx, cfg, "x", "w", "y", grid=4)
+    # dma mode's host copy procs carry no outputs annotation
+    ctx.output("ag_gemm.gathered")
+    return ctx.build()
+
+
+def _analyze_plans():
+    p = build_ag_gemm_plan
     return [
         lambda: p(world=2, mode="dma"),
         lambda: p(world=4, mode="dma"),

@@ -31,7 +31,6 @@ from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_moe_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of
@@ -119,7 +118,6 @@ def ag_moe_search_space(m: int, h: int, d: int, world: int) -> SearchSpace:
 
 def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
                      world: int = 8, spec: HardwareSpec = H800,
-                     space: SearchSpace | None = None,
                      router_seed: int = 17):
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+MoE on a shape.
 
@@ -131,7 +129,7 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
     """
     from repro.tuner.search import TuneTask
 
-    space = space or ag_moe_search_space(m, h, d, world)
+    space = ag_moe_search_space(m, h, d, world)
     routing_for = routing_memo(m, n_experts, topk, world, router_seed)
 
     def make_builder(cand: dict):
@@ -183,12 +181,11 @@ def ag_moe_overlapped(
     flattened (E, H, D) expert stack).  ``grouped_out_name`` receives the
     padded grouped rows (routing.padded_rows x D).
     """
-    machine = ctx.machine
-    world = machine.world_size
+    world = ctx.world_size
     cfg.validate(world)
     if routing.block_m != cfg.block_m:
         raise ShapeError("routing block_m must match kernel block_m")
-    grid = grid or machine.config.spec.n_sms
+    grid = grid or ctx.machine.config.spec.n_sms
 
     gathered_name = gathered_name or f"{tag}.gathered"
     ctx.alloc(gathered_name, (cfg.m, cfg.h), "float16", fill=None)
@@ -213,7 +210,7 @@ def ag_moe_overlapped(
                    stream_name="comm",
                    segment_notifies=ag_mapping.tiles_per_channel)
 
-    return launch_spmd(machine, _ag_moe_group_gemm, grid, dict(
+    return ctx.launch(_ag_moe_group_gemm, grid, dict(
         gathered=ctx.heap.tensors(gathered_name),
         weights2d=ctx.heap.tensors(weights_name),
         ids=ctx.heap.tensors(ids_name),
@@ -229,12 +226,28 @@ def ag_moe_overlapped(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _analyze_plans():
-    from repro.analyze.registry import build_ag_moe_plan as p
+def _record_plan(world: int):
+    """Record the analyzer plan of a small :func:`ag_moe_overlapped`."""
+    from repro.analyze.model import PlanContext
 
+    m, h, d, n_experts = world * 32, 32, 32, 4
+    cfg = AgMoeConfig(m=m, h=h, d=d, n_experts=n_experts, topk=2,
+                      block_m=16, block_n=16, block_k=16)
+    routing = routing_memo(m, n_experts, cfg.topk, world, 17)(cfg.block_m)
+    ctx = PlanContext(f"ag_moe/w{world}", "ag_moe", world)
+    ctx.alloc("x", (m // world, h), "float16")
+    ctx.alloc("w1", (n_experts * h, d), "float16")
+    ctx.alloc("g", (routing.padded_rows, d), "float16")
+    ag_moe_overlapped(ctx, cfg, routing, "x", "w1", "g", grid=4)
+    # the host copy procs carry no outputs annotation
+    ctx.output("ag_moe.gathered")
+    return ctx.build()
+
+
+def _analyze_plans():
     return [
-        lambda: p(world=2),
-        lambda: p(world=4),
+        lambda: _record_plan(world=2),
+        lambda: _record_plan(world=4),
     ]
 
 

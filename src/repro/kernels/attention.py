@@ -83,12 +83,11 @@ def attention_search_space(heads: int, head_dim: int, seq_len: int,
 
 def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
                            causal: bool = True, world: int = 8,
-                           spec: HardwareSpec = H800,
-                           space: SearchSpace | None = None):
+                           spec: HardwareSpec = H800):
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+flash attention."""
     from repro.tuner.search import TuneTask
 
-    space = space or attention_search_space(heads, head_dim, seq_len, world)
+    space = attention_search_space(heads, head_dim, seq_len, world)
 
     def make_builder(cand: dict):
         cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,

@@ -33,7 +33,6 @@ from repro.mapping.static import AffineTileMapping
 from repro.config import H800, HardwareSpec
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of
@@ -250,12 +249,11 @@ def gemm_rs_search_space(m: int, n: int, k: int, world: int) -> SearchSpace:
 
 
 def gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
-                      spec: HardwareSpec = H800,
-                      space: SearchSpace | None = None):
+                      spec: HardwareSpec = H800):
     """Build the :class:`~repro.tuner.TuneTask` tuning GEMM+RS on a shape."""
     from repro.tuner.search import TuneTask
 
-    space = space or gemm_rs_search_space(m, n, k, world)
+    space = gemm_rs_search_space(m, n, k, world)
 
     def make_builder(cand: dict):
         cfg = GemmRsConfig(m=m, n=n, k=k, **cand)
@@ -291,10 +289,9 @@ def gemm_rs_overlapped(
     tag: str = "gemm_rs",
 ) -> list[Process]:
     """Launch overlapped GEMM+RS; ``out`` receives (m/world x n) sums."""
-    machine = ctx.machine
-    world = machine.world_size
+    world = ctx.world_size
     cfg.validate(world)
-    grid = grid or machine.config.spec.n_sms
+    grid = grid or ctx.machine.config.spec.n_sms
     m_per = cfg.m // world
 
     gemm_out = ctx.alloc(f"{tag}.gemm_out", (cfg.m, cfg.n), "float16",
@@ -310,7 +307,7 @@ def gemm_rs_overlapped(
             tag, mapping=mapping, comm_grid=reduce_grid,
             consumer_grid=reduce_grid, peer_cells=reduce_grid.n_tiles,
             threshold_scale=gemm_grid.tiles_n, comm_blocks=cfg.comm_blocks)
-        return launch_spmd(machine, _gemm_rs_ring, grid, dict(
+        return ctx.launch(_gemm_rs_ring, grid, dict(
             tokens=ctx.heap.tensors(tokens_name),
             weights=ctx.heap.tensors(weight_name),
             gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"),
@@ -328,7 +325,7 @@ def gemm_rs_overlapped(
         consumer_grid=reduce_grid, peer_cells=world,
         threshold_scale=gemm_grid.tiles_n)
 
-    launch_spmd(machine, _gemm_producer, grid, dict(
+    ctx.launch(_gemm_producer, grid, dict(
         tokens=ctx.heap.tensors(tokens_name),
         weights=ctx.heap.tensors(weight_name),
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"), channel=channels,
@@ -357,10 +354,10 @@ def gemm_rs_overlapped(
         return None
 
     for rank in range(world):
-        machine.stream(rank, "comm").enqueue(
+        ctx.stream(rank, "comm").enqueue(
             comm_proc(rank), name=f"{tag}.scatter[{rank}]")
 
-    return launch_spmd(machine, _rs_reduce, grid, dict(
+    return ctx.launch(_rs_reduce, grid, dict(
         landing=ctx.heap.tensors(f"{tag}.landing"),
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"),
         out=ctx.heap.tensors(out_name), channel=channels,
@@ -372,9 +369,28 @@ def gemm_rs_overlapped(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _analyze_plans():
-    from repro.analyze.registry import build_gemm_rs_plan as p
+def build_gemm_rs_plan(world: int = 2, mode: str = "ring", *,
+                       channels_per_rank: int = 1,
+                       ir_overrides: dict | None = None,
+                       name: str | None = None):
+    """Record the analyzer plan of a small :func:`gemm_rs_overlapped`."""
+    from repro.analyze.model import PlanContext
 
+    m, n, k = world * 32, 32, 32
+    ctx = PlanContext(name or f"gemm_rs/{mode}/w{world}", "gemm_rs", world,
+                      ir_overrides=ir_overrides)
+    ctx.alloc("x", (m, k), "float16")
+    ctx.alloc("w", (k, n), "float16")
+    ctx.alloc("y", (m // world, n), "float32")
+    cfg = GemmRsConfig(m=m, n=n, k=k, block_m=16, block_n=16, block_k=16,
+                       block_mr=16, block_nr=32, comm_blocks=2,
+                       channels_per_rank=channels_per_rank, mode=mode)
+    gemm_rs_overlapped(ctx, cfg, "x", "w", "y", grid=4)
+    return ctx.build()
+
+
+def _analyze_plans():
+    p = build_gemm_rs_plan
     return [
         lambda: p(world=2, mode="ring"),
         lambda: p(world=4, mode="ring"),

@@ -37,7 +37,6 @@ from repro.mapping.dynamic import TableTileMapping
 from repro.mapping.layout import TileGrid
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import moe_rs_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of
@@ -150,7 +149,6 @@ def moe_rs_search_space(m: int, h: int, d: int, world: int) -> SearchSpace:
 
 def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
                      world: int = 8, spec: HardwareSpec = H800,
-                     space: SearchSpace | None = None,
                      router_seed: int = 17):
     """Build the :class:`~repro.tuner.TuneTask` tuning MoE+RS on a shape.
 
@@ -160,7 +158,7 @@ def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
     """
     from repro.tuner.search import TuneTask
 
-    space = space or moe_rs_search_space(m, h, d, world)
+    space = moe_rs_search_space(m, h, d, world)
     routing_for = routing_memo(m, n_experts, topk, world, router_seed)
 
     def make_builder(cand: dict):
@@ -207,10 +205,9 @@ def moe_rs_overlapped(
     ``weights_name`` binds the flattened (E*D x H) second-layer experts;
     ``out_name`` receives this rank's (m/world x h) reduced token rows.
     """
-    machine = ctx.machine
-    world = machine.world_size
+    world = ctx.world_size
     cfg.validate(world)
-    grid = grid or machine.config.spec.n_sms
+    grid = grid or ctx.machine.config.spec.n_sms
     m_per = cfg.m // world
 
     # +1 dump row swallows scatter contributions of padded rows
@@ -235,7 +232,7 @@ def moe_rs_overlapped(
         consumer_grid=reduce_grid, consumer_mapping=seg_mapping,
         peer_cells=world, notify_counts=routing.segment_counts)
 
-    launch_spmd(machine, _moe_rs_producer, grid, dict(
+    ctx.launch(_moe_rs_producer, grid, dict(
         grouped_in=ctx.heap.tensors(grouped_in_name),
         weights2d=ctx.heap.tensors(weights_name),
         ids=ctx.heap.tensors(ids_name),
@@ -262,10 +259,10 @@ def moe_rs_overlapped(
         return None
 
     for rank in range(world):
-        machine.stream(rank, "comm").enqueue(
+        ctx.stream(rank, "comm").enqueue(
             comm_proc(rank), name=f"{tag}.scatter[{rank}]")
 
-    return launch_spmd(machine, _moe_rs_reduce, grid, dict(
+    return ctx.launch(_moe_rs_reduce, grid, dict(
         landing=ctx.heap.tensors(f"{tag}.landing"),
         out=ctx.heap.tensors(out_name), channel=channels,
         MP=m_per, H=cfg.h, BMR=cfg.block_mr, BNR=cfg.block_nr, WORLD=world,
@@ -276,12 +273,26 @@ def moe_rs_overlapped(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _analyze_plans():
-    from repro.analyze.registry import build_moe_rs_plan as p
+def _record_plan(world: int):
+    """Record the analyzer plan of a small :func:`moe_rs_overlapped`."""
+    from repro.analyze.model import PlanContext
 
+    m, h, d, n_experts = world * 32, 32, 32, 4
+    cfg = MoeRsConfig(m=m, h=h, d=d, block_m=16, block_n=16, block_k=16,
+                      block_mr=16, block_nr=32)
+    routing = routing_memo(m, n_experts, 2, world, 17)(cfg.block_m)
+    ctx = PlanContext(f"moe_rs/w{world}", "moe_rs", world)
+    ctx.alloc("g", (routing.padded_rows, d), "float16")
+    ctx.alloc("w2", (n_experts * d, h), "float16")
+    ctx.alloc("y", (m // world, h), "float32")
+    moe_rs_overlapped(ctx, cfg, routing, "g", "w2", "y", grid=4)
+    return ctx.build()
+
+
+def _analyze_plans():
     return [
-        lambda: p(world=2),
-        lambda: p(world=4),
+        lambda: _record_plan(world=2),
+        lambda: _record_plan(world=4),
     ]
 
 

@@ -27,7 +27,6 @@ from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.tuner.costprune import ring_attention_lower_bound
-from repro.tuner.space import SearchSpace
 
 #: per-step host cost of the torch.distributed SendRecv pair
 HOP_DISPATCH_OVERHEAD = 30e-6
@@ -42,8 +41,7 @@ ANALYZE_META = dict(family="ring_attention", tile_ir=False,
 # lockstep cost structure) differs.
 def ring_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
                              causal: bool = True, world: int = 8,
-                             spec: HardwareSpec = H800,
-                             space: SearchSpace | None = None):
+                             spec: HardwareSpec = H800):
     """Build the :class:`~repro.tuner.TuneTask` tuning RingAttention.
 
     Tuning the baseline keeps the Figure-10 comparison honest: TileLink's
@@ -52,7 +50,7 @@ def ring_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
     """
     from repro.tuner.search import TuneTask
 
-    space = space or attention_search_space(heads, head_dim, seq_len, world)
+    space = attention_search_space(heads, head_dim, seq_len, world)
 
     def make_builder(cand: dict):
         cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,

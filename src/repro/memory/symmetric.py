@@ -43,7 +43,8 @@ class SymmetricHeap:
             raise RuntimeLaunchError(f"symmetric tensor {name!r} already allocated")
         materialize = self.machine.config.execute_numerics
         tensors = []
-        rng = np.random.default_rng(self.machine.config.seed ^ hash(name) & 0xFFFF)
+        rng = np.random.default_rng(self.machine.config.seed ^ hash(name) & 0xFFFF) \
+            if materialize and fill is None else None
         for rank in range(self.machine.world_size):
             if not materialize:
                 t = SimTensor(name, shape, dtype, rank, data=None)

@@ -87,7 +87,9 @@ class KernelFamily:
     launch: Callable[..., Any]
     #: zero-arg factory -> ``TuneTask`` for a representative small shape
     tune_task: Callable[[], Any]
-    #: zero-arg factory -> list of zero-arg analyzer plan thunks
+    #: zero-arg factory -> list of zero-arg analyzer plan thunks; each
+    #: thunk picks a small config and records its plan by running
+    #: ``launch`` against a ``repro.analyze.model.PlanContext``
     analyze_plans: Callable[[], list]
     #: zero-arg factory -> the family's bench builders function
     bench_builders: Callable[[], Callable[..., dict]]
@@ -150,6 +152,12 @@ def register_family(
     doc: str = "",
 ) -> KernelFamily:
     """Validate and insert one :class:`KernelFamily`.
+
+    ``analyze_plans`` needs no hand-written plan: each of its thunks runs
+    the family's own ``launch`` at a small size (and a 4-block grid)
+    against a recording :class:`repro.analyze.model.PlanContext` and
+    returns ``ctx.build()`` — see
+    :func:`repro.kernels.ag_gemm.build_ag_gemm_plan`.
 
     Raises :class:`~repro.errors.RegistryError` naming the missing piece
     when the record is incomplete; nothing is inserted on failure.

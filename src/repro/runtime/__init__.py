@@ -1,6 +1,6 @@
 """SPMD runtime: distributed context, kernel launcher, profiling helpers."""
 
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_kernel, launch_spmd
+from repro.runtime.launcher import launch_kernel
 
-__all__ = ["DistContext", "launch_kernel", "launch_spmd"]
+__all__ = ["DistContext", "launch_kernel"]

@@ -1,8 +1,9 @@
 """Distributed execution context: the NVSHMEM-style runtime of Figure 7.
 
 :class:`DistContext` owns the symmetric heap and the per-rank hosts/streams,
-builds :class:`BlockChannel` argument sets, and implements the *host-side*
-primitives of Table 3:
+builds :class:`BlockChannel` argument sets, launches kernels SPMD
+(:meth:`DistContext.launch`), and implements the *host-side* primitives of
+Table 3:
 
 * :meth:`DistContext.rank_copy_data` — peer-to-peer copy on the DMA copy
   engine (``cudaMemcpyPeerAsync``-style); direction is given by the order
@@ -18,16 +19,21 @@ by the MLP/MoE kernels).
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
+from repro.compiler.program import CompileOptions
 from repro.config import SimConfig
 from repro.lang.block_channel import BlockChannel
+from repro.lang.dsl import KernelDef
 from repro.mapping.dynamic import TableTileMapping
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.memory.signals import SignalArray
 from repro.memory.symmetric import SymmetricHeap
 from repro.memory.tensor import SimTensor
+from repro.runtime.launcher import launch_kernel
 from repro.sim.engine import Join, Process, ProcessGen, Timeout
 from repro.sim.machine import Machine
 from repro.sim.stream import Stream
@@ -63,6 +69,17 @@ class DistContext:
     def stream(self, rank: int, name: str = "default") -> Stream:
         return self.machine.stream(rank, name)
 
+    def launch(self, kdef: KernelDef, grid: int, args: dict[str, Any], *,
+               options: CompileOptions | None = None,
+               stream_name: str = "default",
+               label: str | None = None) -> list[Process]:
+        """Launch the same kernel on every rank (SPMD, Figure 7's runtime)."""
+        return [
+            launch_kernel(self.machine, kdef, grid, rank, args, options,
+                          stream=self.stream(rank, stream_name), label=label)
+            for rank in range(self.world_size)
+        ]
+
     # -- BlockChannel construction ------------------------------------------------
 
     def make_block_channels(
@@ -78,7 +95,11 @@ class DistContext:
         comm_blocks: int = 0,
         notify_counts: object | None = None,
     ) -> list[BlockChannel]:
-        """Allocate barrier banks and build one BlockChannel per rank."""
+        """Allocate barrier banks and build one BlockChannel per rank.
+
+        The analyzer's ``PlanContext`` builds its channels with this same
+        method; only its heap's ``alloc_signals`` differs (abstract banks).
+        """
         self._channel_count += 1
         uname = f"{name}.{self._channel_count}"
         n_channels = 1

@@ -93,15 +93,3 @@ def launch_kernel(machine: Machine, kdef: KernelDef, grid: int, rank: int,
         start_delay=machine.cost.launch_overhead(),
     )
 
-
-def launch_spmd(machine: Machine, kdef: KernelDef, grid: int,
-                args: dict[str, Any],
-                options: CompileOptions | None = None,
-                stream_name: str = "default",
-                label: str | None = None) -> list[Process]:
-    """Launch the same kernel on every rank (SPMD, Figure 7's runtime)."""
-    return [
-        launch_kernel(machine, kdef, grid, rank, args, options,
-                      stream=machine.stream(rank, stream_name), label=label)
-        for rank in range(machine.world_size)
-    ]

@@ -15,10 +15,9 @@ import pytest
 
 from repro.analyze import (
     FAMILIES,
+    PlanContext,
     analyze_plan,
     analyze_registered,
-    build_ag_gemm_plan,
-    build_gemm_rs_plan,
     check_compiled_ir,
     structural_check_ir,
 )
@@ -29,9 +28,15 @@ from repro.kernels.ag_gemm import (
     _ag_consumer_gemm,
     _ag_pull_producer,
     _ag_push_producer,
+    build_ag_gemm_plan,
 )
 from repro.kernels.ag_moe import _ag_moe_group_gemm
-from repro.kernels.gemm_rs import _gemm_producer, _gemm_rs_ring, _rs_reduce
+from repro.kernels.gemm_rs import (
+    _gemm_producer,
+    _gemm_rs_ring,
+    _rs_reduce,
+    build_gemm_rs_plan,
+)
 from repro.kernels.moe_rs import _moe_rs_producer, _moe_rs_reduce
 from repro.lang import tl
 from repro.lang.dsl import kernel
@@ -57,6 +62,24 @@ def test_all_registered_plans_analyze_clean():
         seen.append(plan.family)
     for family in FAMILIES:
         assert family in seen
+
+
+# two channels per rank: recorded here rather than registered, because the
+# registered sweep's plan names and finding counts feed the benchmark digest
+@pytest.mark.parametrize("build,mode", [
+    (build_ag_gemm_plan, "dma"),
+    (build_ag_gemm_plan, "pull"),
+    (build_ag_gemm_plan, "push"),
+    (build_gemm_rs_plan, "hybrid"),
+])
+def test_two_channels_per_rank_plans_analyze_clean(build, mode):
+    plan, extra = build(world=2, mode=mode, channels_per_rank=2)
+    report = analyze_plan(plan, extra=extra)
+    assert report.ok(strict=True), f"{plan.name}:\n{report.render()}"
+    # the waits span all 2 x world producer channels
+    waited = {e.cell for t in plan.threads for e in t.events
+              if e.kind == "wait" and e.bank[0].endswith(".bar")}
+    assert waited == set(range(4))
 
 
 def test_shipped_kernels_pass_structural_checks():
@@ -109,9 +132,18 @@ def test_mutant_missing_notify_is_deadlock():
     assert all(isinstance(f.lineno, int) and f.lineno > 0 for f in hits)
 
 
-def test_mutant_inflated_threshold_is_unreachable():
-    plan, extra = build_ag_gemm_plan(world=2, mode="pull",
-                                     threshold_scale=2)
+def test_mutant_inflated_threshold_is_unreachable(monkeypatch):
+    # double every recorded channel's wait thresholds
+    make = PlanContext.make_block_channels
+
+    def inflated(self, *args, **kwargs):
+        channels = make(self, *args, **kwargs)
+        for ch in channels:
+            ch.threshold_scale *= 2
+        return channels
+
+    monkeypatch.setattr(PlanContext, "make_block_channels", inflated)
+    plan, extra = build_ag_gemm_plan(world=2, mode="pull")
     report = analyze_plan(plan, extra=extra)
     rules = {f.rule for f in report.errors}
     assert "deadlock.unreachable-threshold" in rules

@@ -9,7 +9,7 @@ from repro.compiler.program import CompileOptions
 from repro.errors import LoweringError, RuntimeLaunchError
 from repro.lang import tl
 from repro.lang.dsl import kernel
-from repro.runtime.launcher import launch_kernel, launch_spmd
+from repro.runtime.launcher import launch_kernel
 from tests.conftest import make_ctx
 
 
@@ -20,7 +20,7 @@ def run1(kdef, grid, args, numerics=True, world=1, options=None):
             ctx.bind(name, [arr.copy() for _ in range(world)])
     bound = {k: (ctx.heap.tensors(k) if isinstance(v, np.ndarray) else v)
              for k, v in args.items()}
-    launch_spmd(ctx.machine, kdef, grid, bound, options=options)
+    ctx.launch(kdef, grid, bound, options=options)
     t = ctx.run()
     return ctx, t
 

@@ -41,7 +41,8 @@ def test_ag_gemm_all_modes_numerics(rng, mode):
         assert np.max(np.abs(got - ref)) < 0.5, (mode, r)
 
 
-def test_ag_gemm_channels_per_rank(rng):
+@pytest.mark.parametrize("mode", ["dma", "pull", "push"])
+def test_ag_gemm_channels_per_rank(rng, mode):
     ctx = make_ctx(WORLD)
     shards = [rng.standard_normal((M // WORLD, K)).astype(np.float16)
               for _ in range(WORLD)]
@@ -51,7 +52,7 @@ def test_ag_gemm_channels_per_rank(rng):
     ctx.bind("w", weights)
     ctx.alloc("y", (M, N), "float16")
     cfg = AgGemmConfig(m=M, n=N, k=K, block_m=32, block_n=32, block_k=32,
-                       block_mp=32, comm_blocks=4, mode="pull",
+                       block_mp=32, comm_blocks=4, mode=mode,
                        channels_per_rank=2)
     ag_gemm_overlapped(ctx, cfg, "x", "w", "y", grid=16)
     ctx.run()

@@ -348,6 +348,19 @@ def test_write_trace_is_strict_json(tmp_path):
     assert validate_obs_trace(trace) == []
 
 
+def test_validator_rejects_overflowing_numbers(tmp_path, capsys):
+    # json.load reads 1e999 as inf, which obs.load already refuses
+    from benchmarks.validate_bench_json import main as validate_main
+
+    rows = tmp_path / "rows.json"
+    rows.write_text('[{"bench": "a", "config": "b", "time_s": 1e999}]')
+    assert validate_main([str(rows)]) == 1
+    assert "'time_s' is not finite" in capsys.readouterr().err
+    trace = {"traceEvents": [{"ph": "i", "ts": float("inf"), "name": "x",
+                              "pid": 0, "tid": 0}]}
+    assert any("ts must be a number" in e for e in validate_obs_trace(trace))
+
+
 # -------------------------------------------------------- tuner spans
 
 def test_tuner_sweep_records_spans_without_perturbing(tmp_path):

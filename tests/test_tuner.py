@@ -9,6 +9,7 @@ from the persistent cache without re-simulating.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -472,7 +473,8 @@ def test_tune_start_tile_non_divisible_shape():
               Axis("comm_blocks", (4, 20)),
               Axis("mode", ("dma", "pull", "push"))),
         constraint=lambda c: c["mode"] != "dma" or c["comm_blocks"] == 20)
-    task = ag_gemm_tune_task(m, 256, 256, world=world, space=space)
+    task = dataclasses.replace(ag_gemm_tune_task(m, 256, 256, world=world),
+                               space=space)
     res = tune(task, world=world)
     # the non-divisible candidates really were simulated, not rejected
     assert any(c["block_m"] == 256 for c, _ in res.trials)
